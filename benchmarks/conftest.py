@@ -17,15 +17,22 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def record_figure():
-    """Persist a FigureResult's text rendition under benchmarks/results/."""
+    """Persist a FigureResult's text rendition under benchmarks/results/.
+
+    The deterministic tables go to the tracked ``<figure>.txt``; wall-clock
+    tables, which differ on every run, go to an untracked
+    ``<figure>.wallclock.txt`` next to it, so a tier-1 run leaves the
+    working tree clean.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _record(result, filename: str) -> None:
         path = RESULTS_DIR / filename
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"[{result.figure_id}] {result.description}\n\n")
-            handle.write(result.text)
-            handle.write("\n")
+        header = f"[{result.figure_id}] {result.description}\n\n"
+        path.write_text(f"{header}{result.text}\n", encoding="utf-8")
+        if result.wall_clock_text:
+            path.with_suffix(".wallclock.txt").write_text(
+                f"{header}{result.wall_clock_text}\n", encoding="utf-8")
 
     return _record
 

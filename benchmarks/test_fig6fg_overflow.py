@@ -18,4 +18,4 @@ def test_fig6fg_overflown_windows(benchmark, record_figure):
         for values in by_policy.values():
             assert 0.0 <= values["overflow_all_pct"] <= 100.0
             assert 0.0 <= values["overflow_peak_pct"] <= 100.0
-    print(result.text)
+    print(result.rendered)

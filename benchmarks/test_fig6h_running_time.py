@@ -26,4 +26,4 @@ def test_fig6h_single_window_running_time(benchmark, record_figure):
     # Decision time grows with the window size for every policy.
     for values in series.values():
         assert values[-1] > values[0]
-    print(result.text)
+    print(result.rendered)

@@ -15,8 +15,10 @@ def test_fig8defg_delta_sweep(benchmark, record_figure):
     series = result.data["series"]
     # Paper shape: larger windows delay assignments, so XDT grows with Delta,
     # while accumulating more orders per window improves O/Km, and the
-    # per-window decision time increases.
+    # per-window decision time increases.  The last is asserted on the route
+    # plans searched per window — the work the time is spent on, which
+    # repeats exactly — not on ~20 ms wall-clock readings.
     assert series["xdt_hours"][-1] >= series["xdt_hours"][0] * 0.9
     assert series["orders_per_km"][-1] >= series["orders_per_km"][0] * 0.9
-    assert series["mean_decision_seconds"][-1] > series["mean_decision_seconds"][0]
-    print(result.text)
+    assert series["route_plans_per_window"][-1] > series["route_plans_per_window"][0]
+    print(result.rendered)

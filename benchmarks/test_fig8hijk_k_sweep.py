@@ -14,8 +14,9 @@ def test_fig8hijk_k_sweep(benchmark, record_figure):
     record_figure(result, "fig8hijk_k_sweep.txt")
     series = result.data["series"]
     # Paper shape: the quality metrics barely move with k, while the running
-    # time grows as the FoodGraph becomes denser.
+    # time grows as the FoodGraph becomes denser — asserted on the route
+    # plans searched per window (exact), not on the wall clock.
     xdt = series["xdt_hours"]
     assert max(xdt) <= 2.5 * max(1e-9, min(xdt))
-    assert series["mean_decision_seconds"][-1] >= series["mean_decision_seconds"][0]
-    print(result.text)
+    assert series["route_plans_per_window"][-1] >= series["route_plans_per_window"][0]
+    print(result.rendered)

@@ -404,7 +404,7 @@ def _command_compare(args: argparse.Namespace) -> int:
 def _command_figure(args: argparse.Namespace) -> int:
     result = _FIGURE_FUNCTIONS[args.name]()
     print(f"[{result.figure_id}] {result.description}")
-    print(result.text)
+    print(result.rendered)
     return 0
 
 

@@ -130,30 +130,21 @@ class VehicleSensitiveExplorer:
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         csr = network.csr()
-        self._csr = csr
-        self._gamma = gamma
-        self._one_minus_gamma = 1.0 - gamma
-        self._time_terms = (time_terms if time_terms is not None
-                            else blended_time_terms(network, now))
-        self._coords = (coords if coords is not None
-                        else [network.coord(node) for node in csr.node_ids])
+        if time_terms is None:
+            time_terms = blended_time_terms(network, now)
+        if coords is None:
+            coords = [network.coord(node) for node in csr.node_ids]
         destination = vehicle.next_destination
-        self._vehicle_coord = network.coord(vehicle.node)
-        self._dest_coord = (network.coord(destination)
-                            if destination is not None else None)
-        # Lazily filled per-head-node angular terms (None = not yet computed).
-        self._angular: list[float | None] = [None] * csr.num_nodes
-        self._visited_count = 0
-        src = csr.index_of[vehicle.node]
-        self._dist = [INFINITY] * csr.num_nodes
-        self._dist[src] = 0.0
-        # Entries are (distance, node_id, node_index): comparison falls to the
-        # original node id on distance ties, matching the reference heap.
-        self._heap: list[tuple[float, int, int]] = [(0.0, vehicle.node, src)]
-        self._settled = [False] * csr.num_nodes
+        dest_coord = network.coord(destination) if destination is not None else None
+        self._settles = [0]
         # One generator frame keeps every hot local bound across all the
-        # thousands of per-node resumptions of one search.
-        self._iterator = self._iterate()
+        # thousands of per-node resumptions of one search.  The frame holds
+        # the search state but no reference to ``self``: an explorer that is
+        # dropped mid-search is freed by reference counting, not left to the
+        # cyclic collector with its per-node lists.
+        self._iterator = _blended_best_first(
+            csr, csr.index_of[vehicle.node], vehicle.node, gamma, time_terms,
+            coords, network.coord(vehicle.node), dest_coord, self._settles)
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return self._iterator
@@ -162,51 +153,54 @@ class VehicleSensitiveExplorer:
         """Return the next ``(node, blended_cost)`` pair in ascending order."""
         return next(self._iterator)
 
-    def _iterate(self) -> Iterator[tuple[int, float]]:
-        csr = self._csr
-        indptr = csr.indptr_list
-        indices = csr.indices_list
-        node_ids = csr.node_ids
-        time_terms = self._time_terms
-        angular = self._angular
-        dist = self._dist
-        settled = self._settled
-        heap = self._heap
-        gamma = self._gamma
-        one_minus_gamma = self._one_minus_gamma
-        dest_coord = self._dest_coord
-        vehicle_coord = self._vehicle_coord
-        coords = self._coords
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            d, node_id, node = pop(heap)
-            if settled[node]:
-                continue
-            settled[node] = True
-            self._visited_count += 1
-            for j in range(indptr[node], indptr[node + 1]):
-                head = indices[j]
-                if settled[head]:
-                    continue
-                term = angular[head]
-                if term is None:
-                    if dest_coord is None:
-                        term = 0.0
-                    else:
-                        term = angular_distance(vehicle_coord, dest_coord,
-                                                coords[head])
-                    angular[head] = term
-                nd = d + (gamma * term + one_minus_gamma * time_terms[j])
-                if nd < dist[head]:
-                    dist[head] = nd
-                    push(heap, (nd, node_ids[head], head))
-            yield node_id, d
-
     @property
     def visited_count(self) -> int:
         """Number of nodes settled so far (an efficiency statistic)."""
-        return self._visited_count
+        return self._settles[0]
+
+
+def _blended_best_first(csr, src: int, source_id: int, gamma: float,
+                        time_terms: list[float], coords: list[tuple[float, float]],
+                        vehicle_coord, dest_coord, settles: list[int],
+                        ) -> Iterator[tuple[int, float]]:
+    """The search loop of :class:`VehicleSensitiveExplorer` (``settles[0]`` counts)."""
+    indptr = csr.indptr_list
+    indices = csr.indices_list
+    node_ids = csr.node_ids
+    one_minus_gamma = 1.0 - gamma
+    # Lazily filled per-head-node angular terms (None = not yet computed).
+    angular: list[float | None] = [None] * csr.num_nodes
+    dist = [INFINITY] * csr.num_nodes
+    dist[src] = 0.0
+    settled = [False] * csr.num_nodes
+    # Entries are (distance, node_id, node_index): comparison falls to the
+    # original node id on distance ties, matching the reference heap.
+    heap: list[tuple[float, int, int]] = [(0.0, source_id, src)]
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        d, node_id, node = pop(heap)
+        if settled[node]:
+            continue
+        settled[node] = True
+        settles[0] += 1
+        for j in range(indptr[node], indptr[node + 1]):
+            head = indices[j]
+            if settled[head]:
+                continue
+            term = angular[head]
+            if term is None:
+                if dest_coord is None:
+                    term = 0.0
+                else:
+                    term = angular_distance(vehicle_coord, dest_coord,
+                                            coords[head])
+                angular[head] = term
+            nd = d + (gamma * term + one_minus_gamma * time_terms[j])
+            if nd < dist[head]:
+                dist[head] = nd
+                push(heap, (nd, node_ids[head], head))
+        yield node_id, d
 
 
 __all__ = ["vehicle_sensitive_weight", "travel_time_weight",

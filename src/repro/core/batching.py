@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-import numpy as np
-
+from repro.obs.trace import current_tracer
 from repro.orders.batch import Batch
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
@@ -87,42 +86,6 @@ def _mergeable(left: Batch, right: Batch, config: BatchingConfig) -> bool:
     return left.items + right.items <= config.max_items
 
 
-class _StaticGapTable:
-    """Static pairwise distances among batch start nodes, block-prefetched.
-
-    Backed by one :meth:`DistanceOracle.static_distance_matrix` call over the
-    initial start nodes (the vectorised hub-label block kernel).  The result
-    stays in the numpy matrix — only a node-to-row map is materialised in
-    Python, so the table is O(unique nodes) dict entries, not O(nodes^2).
-    Nodes first seen later (rare — merged batches start at a member's
-    restaurant) extend the matrix with one batched row/column query each.
-    """
-
-    def __init__(self, cost_model: CostModel, nodes: Sequence[int]) -> None:
-        self._oracle = cost_model.oracle
-        unique = list(dict.fromkeys(nodes))
-        self._row_of: dict[int, int] = {node: i for i, node in enumerate(unique)}
-        self._matrix = self._oracle.static_distance_matrix(unique, unique)
-
-    def _extend(self, node: int) -> None:
-        known = list(self._row_of)
-        row = self._oracle.static_distance_matrix([node], known)
-        col = self._oracle.static_distance_matrix(known, [node])
-        self._matrix = np.block([[self._matrix, col], [row, [[0.0]]]])
-        self._row_of[node] = len(self._row_of)
-
-    def static_distance(self, u: int, v: int) -> float:
-        i = self._row_of.get(u)
-        if i is None:
-            self._extend(u)
-            i = self._row_of[u]
-        j = self._row_of.get(v)
-        if j is None:
-            self._extend(v)
-            j = self._row_of[v]
-        return float(self._matrix[i, j])
-
-
 def cluster_orders(orders: Sequence[Order], cost_model: CostModel, now: float,
                    config: BatchingConfig | None = None,
                    ) -> tuple[list[Batch], BatchingStats]:
@@ -147,10 +110,17 @@ def cluster_orders(orders: Sequence[Order], cost_model: CostModel, now: float,
         asserted in tests.
     """
     config = config or BatchingConfig()
+    # One planning table for the whole clustering (the window's own when
+    # ``assign`` already opened a scope covering these orders).
+    with cost_model.planning_scope(orders):
+        return _cluster(list(orders), cost_model, now, config)
+
+
+def _cluster(orders: list[Order], cost_model: CostModel, now: float,
+             config: BatchingConfig) -> tuple[list[Batch], BatchingStats]:
     stats = BatchingStats()
-    batches: dict[int, Batch] = {}
-    for idx, order in enumerate(orders):
-        batches[idx] = cost_model.make_batch([order], now)
+    batches: dict[int, Batch] = dict(enumerate(
+        cost_model.make_batches([[order] for order in orders], now)))
     stats.initial_batches = len(batches)
     stats.avg_cost_trace.append(_average_cost(batches))
 
@@ -161,53 +131,54 @@ def cluster_orders(orders: Sequence[Order], cost_model: CostModel, now: float,
 
     counter = itertools.count()
     next_key = len(batches)
-    heap: list[tuple[float, int, int, int, Batch]] = []
+    # (weight, tie-break, key_i, key_j, merged batch on demand: function, index)
+    heap: list[tuple] = []
+    tracer = current_tracer()
 
-    gap_table: _StaticGapTable | None = None
-    if config.max_pair_distance is not None:
-        # The pairwise pick-up-gap checks form a cross product over the batch
-        # start nodes; one block query replaces O(batches^2) point queries
-        # (merged batches reuse their members' start nodes, so the table
-        # rarely grows after this).
-        gap_table = _StaticGapTable(
-            cost_model, [batch.first_pickup_node for batch in batches.values()])
-        multiplier = cost_model.oracle.network.profile.multiplier(now)
+    def push_edges(pairs: list[tuple[int, int]]) -> None:
+        """Compute and enqueue the order-graph edges of ``(key, other_key)`` pairs.
 
-    def push_edges(key: int, others: Sequence[int]) -> None:
-        """Compute and enqueue order-graph edges from ``key`` to ``others``."""
-        batch = batches[key]
-        for other_key in others:
-            other = batches.get(other_key)
-            if other is None or other_key == key:
-                continue
+        All eligible merges are planned in one bulk search; edges enter the
+        heap in pair order, so the tie-breaking counter is the per-pair
+        loop's.
+        """
+        eligible = []
+        for key, other_key in pairs:
+            batch, other = batches[key], batches[other_key]
             if not _mergeable(batch, other, config):
                 continue
-            if gap_table is not None:
-                gap = gap_table.static_distance(batch.first_pickup_node,
-                                                other.first_pickup_node) * multiplier
-                if gap > config.max_pair_distance:
-                    continue
-            weight, merged = cost_model.merge_cost(batch, other, now)
-            heapq.heappush(heap, (weight, next(counter), key, other_key, merged))
+            if config.max_pair_distance is not None and cost_model.distance(
+                    batch.first_pickup_node, other.first_pickup_node,
+                    now) > config.max_pair_distance:
+                continue
+            eligible.append((key, other_key))
+        with tracer.span("batching.plan"):
+            weights, merged_of = cost_model.merge_costs(
+                [(batches[key], batches[other_key]) for key, other_key in eligible],
+                now)
+        for i, (key, other_key) in enumerate(eligible):
+            heapq.heappush(heap, (weights[i], next(counter), key, other_key,
+                                  merged_of, i))
 
     keys = list(batches.keys())
-    for pos, key in enumerate(keys):
-        push_edges(key, keys[pos + 1:])
+    push_edges([(key, other_key) for pos, key in enumerate(keys)
+                for other_key in keys[pos + 1:]])
 
     while heap:
         if _average_cost(batches) > config.eta:
             break
-        weight, _, key_i, key_j, merged = heapq.heappop(heap)
+        _, _, key_i, key_j, merged_of, i = heapq.heappop(heap)
         if key_i not in batches or key_j not in batches:
             continue  # stale edge: one endpoint was merged away earlier
         del batches[key_i]
         del batches[key_j]
         merged_key = next_key
         next_key += 1
-        batches[merged_key] = merged
+        others = list(batches.keys())
+        batches[merged_key] = merged_of(i)
         stats.merges += 1
         stats.avg_cost_trace.append(_average_cost(batches))
-        push_edges(merged_key, list(batches.keys()))
+        push_edges([(merged_key, other_key) for other_key in others])
 
     stats.final_batches = len(batches)
     stats.final_avg_cost = _average_cost(batches)

@@ -21,9 +21,10 @@ roll into the next accumulation window).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.angular import (
     VehicleSensitiveExplorer,
@@ -32,6 +33,7 @@ from repro.core.angular import (
 )
 from repro.core.matching import sparse_minimum_weight_matching
 from repro.network.shortest_path import BestFirstExplorer
+from repro.obs.trace import current_tracer
 from repro.resilience.context import current_ladders
 from repro.orders.batch import Batch
 from repro.orders.costs import CostModel
@@ -53,17 +55,25 @@ class FoodGraph:
     """A (possibly sparsified) bipartite assignment graph.
 
     Edges are stored sparsely: a missing ``(batch_idx, vehicle_idx)`` entry
-    means the pair's weight is Ω and no route plan is attached.
+    means the pair's weight is Ω and no route plan is attached.  An edge's
+    plan may be stored as a zero-argument function producing it — the bulk
+    builders know every weight but materialise only the plans somebody reads
+    — so read plans through :meth:`plan`, not off :attr:`edges`.
     """
 
     batches: list[Batch]
     vehicles: list[Vehicle]
     omega: float = DEFAULT_OMEGA
-    edges: dict[tuple[int, int], tuple[float, RoutePlan]] = field(default_factory=dict)
+    edges: dict[tuple[int, int],
+                tuple[float, RoutePlan | Callable[[], RoutePlan]]] = field(
+                    default_factory=dict)
     #: number of true marginal-cost evaluations performed (efficiency metric)
     cost_evaluations: int = 0
     #: number of road-network nodes expanded by best-first search
     nodes_expanded: int = 0
+    #: explore-then-evaluate rounds of the sparsified construction (0 for the
+    #: full graph and the sequential reference)
+    rounds: int = 0
     #: incrementally maintained per-vehicle finite-edge counts (Alg. 2's
     #: stopping rule reads them every expansion step)
     _degree_counts: dict[int, int] = field(default_factory=dict, repr=False)
@@ -89,7 +99,7 @@ class FoodGraph:
             self._degree_edge_count = len(self.edges)
 
     def add_edge(self, batch_idx: int, vehicle_idx: int, weight: float,
-                 plan: RoutePlan) -> None:
+                 plan: RoutePlan | Callable[[], RoutePlan]) -> None:
         """Insert (or replace) a finite edge, keeping degree counts current."""
         self._sync_degree_counts()
         key = (batch_idx, vehicle_idx)
@@ -104,8 +114,15 @@ class FoodGraph:
         return edge[0] if edge is not None else self.omega
 
     def plan(self, batch_idx: int, vehicle_idx: int) -> RoutePlan | None:
+        """The edge's route plan (materialised on first read), ``None`` at Ω."""
         edge = self.edges.get((batch_idx, vehicle_idx))
-        return edge[1] if edge is not None else None
+        if edge is None:
+            return None
+        weight, plan = edge
+        if callable(plan):
+            plan = plan()
+            self.edges[(batch_idx, vehicle_idx)] = (weight, plan)
+        return plan
 
     def cost_matrix(self) -> list[list[float]]:
         """Dense batch-by-vehicle cost matrix (diagnostics / reference solver).
@@ -134,16 +151,10 @@ class FoodGraph:
 
 
 def _pair_weight(batch: Batch, vehicle: Vehicle, cost_model: CostModel, now: float,
-                 omega: float, max_first_mile: float,
-                 first_mile: float | None = None) -> tuple[float, RoutePlan | None]:
-    """Marginal cost of a batch-vehicle pair, clamped to Ω where required.
-
-    ``first_mile`` may carry a precomputed vehicle-to-first-pickup travel
-    time (the builders batch those checks through the oracle's vectorised
-    API); when absent it is queried point-to-point.
-    """
-    if first_mile is None:
-        first_mile = cost_model.oracle.distance(vehicle.node, batch.first_pickup_node, now)
+                 omega: float, max_first_mile: float) -> tuple[float, RoutePlan | None]:
+    """Marginal cost of one batch-vehicle pair, clamped to Ω where required
+    (the sequential reference's per-pair evaluation)."""
+    first_mile = cost_model.oracle.distance(vehicle.node, batch.first_pickup_node, now)
     if first_mile > max_first_mile:
         return omega, None
     weight, plan = cost_model.marginal_cost(batch.orders, vehicle, now)
@@ -152,29 +163,50 @@ def _pair_weight(batch: Batch, vehicle: Vehicle, cost_model: CostModel, now: flo
     return min(weight, omega), plan
 
 
+def _evaluate_pairs(graph: FoodGraph, cost_model: CostModel, now: float,
+                    pairs: list[tuple[int, int]],
+                    ) -> list[tuple[float, Callable[[], RoutePlan]] | None]:
+    """Marginal costs of ``(batch_idx, vehicle_idx)`` pairs, in one bulk call.
+
+    The pairs have passed the first-mile bound already.  Per pair: the edge
+    — its weight and its route plan on demand, as :meth:`FoodGraph.add_edge`
+    takes them — or ``None`` where the pair stays at Ω.
+    """
+    weights, plan_of = cost_model.marginal_costs(
+        [(graph.batches[b_idx].orders, graph.vehicles[v_idx])
+         for b_idx, v_idx in pairs], now)
+    return [(weight, functools.partial(plan_of, i)) if weight < graph.omega else None
+            for i, weight in enumerate(weights)]
+
+
 def build_full_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
                          cost_model: CostModel, now: float,
                          omega: float = DEFAULT_OMEGA,
                          max_first_mile: float = DEFAULT_MAX_FIRST_MILE) -> FoodGraph:
     """Quadratic FoodGraph construction: every batch-vehicle pair is evaluated.
 
-    The first-mile feasibility checks for all ``|V| x |B|`` pairs resolve in
-    a single batched :meth:`DistanceOracle.distance_matrix` call (the
-    vectorised hub-label block kernel) instead of one point query per pair.
+    The first-mile feasibility checks for all ``|V| x |B|`` pairs come off
+    the window's planning table (one block of static distances, see
+    :meth:`CostModel.planning_scope`), and every pair within the bound is
+    planned in one bulk :meth:`CostModel.marginal_costs` call.
     """
     graph = FoodGraph(list(batches), list(vehicles), omega=omega)
-    if graph.batches and graph.vehicles:
-        first_miles = cost_model.oracle.distance_matrix(
+    if not graph.batches or not graph.vehicles:
+        return graph
+    with cost_model.planning_scope(
+            (order for batch in graph.batches for order in batch.orders),
+            graph.vehicles):
+        first_miles = cost_model.distance_matrix(
             [vehicle.node for vehicle in graph.vehicles],
             [batch.first_pickup_node for batch in graph.batches], now)
-    for b_idx, batch in enumerate(graph.batches):
-        for v_idx, vehicle in enumerate(graph.vehicles):
-            weight, plan = _pair_weight(batch, vehicle, cost_model, now, omega,
-                                        max_first_mile,
-                                        first_mile=float(first_miles[v_idx, b_idx]))
-            graph.cost_evaluations += 1
-            if plan is not None and weight < omega:
-                graph.add_edge(b_idx, v_idx, weight, plan)
+        within = (first_miles <= max_first_mile).T.tolist()
+        pairs = [(b_idx, v_idx) for b_idx, row in enumerate(within)
+                 for v_idx, near in enumerate(row) if near]
+        for (b_idx, v_idx), edge in zip(
+                pairs, _evaluate_pairs(graph, cost_model, now, pairs), strict=True):
+            if edge is not None:
+                graph.add_edge(b_idx, v_idx, *edge)
+    graph.cost_evaluations = len(graph.batches) * len(graph.vehicles)
     return graph
 
 
@@ -197,14 +229,28 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     ``use_angular`` switches the exploration order from plain travel time to
     the vehicle-sensitive weight of Eq. 8 with the given ``gamma``.
 
-    With ``vectorized`` (the default) the per-window batch work runs on the
-    array kernels: the first-mile feasibility values of *all* vehicle/batch
-    pairs come from one :meth:`DistanceOracle.distance_matrix` block instead
-    of a point query per discovered pair, and angular exploration runs on
-    the CSR adjacency (:class:`~repro.core.angular.VehicleSensitiveExplorer`)
-    instead of the dict-based reference search.  Both produce bit-identical
-    graphs to ``vectorized=False``, which survives as the reference for the
-    equivalence tests and benchmarks.
+    **Optimistic rounds** (``vectorized``, the default).  Whether a
+    discovered pair becomes an edge is only known once its marginal cost is,
+    and marginal costs are far cheaper in bulk.  So each round lets every
+    unfinished vehicle explore until the pairs it has *discovered* within
+    the first-mile bound, counted as if all of them succeeded, reach ``k``;
+    then all of the round's pairs are evaluated in one bulk call, and only
+    the vehicles whose *successful* degree is still below ``k`` explore on
+    in the next round.  This evaluates exactly the pairs the one-pair-at-a-
+    time loop does: successes never outnumber discoveries, so a vehicle is
+    only ever paused at a node where the sequential loop had not stopped
+    earlier, and after the bulk evaluation its exact degree decides, as it
+    does sequentially, whether the search goes on from that very node.  The
+    evaluated set, ``cost_evaluations`` and ``nodes_expanded`` are therefore
+    identical, and edges are inserted vehicle by vehicle in discovery order
+    once all rounds are done, which is the sequential insertion order.
+    Exploration runs on the CSR adjacency
+    (:class:`~repro.core.angular.VehicleSensitiveExplorer`) and the
+    first-mile values come off the window's planning table.
+
+    ``vectorized=False`` keeps that sequential loop — dict-based reference
+    exploration, one :meth:`CostModel.marginal_cost` per pair — as the
+    reference the equivalence tests and benchmarks compare against.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -217,57 +263,109 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
         start_index.setdefault(batch.first_pickup_node, []).append(b_idx)
 
     expansion_cap = max_expansions if max_expansions is not None else network.num_nodes
+    if not vectorized:
+        _build_sequentially(graph, cost_model, now, k, max_first_mile, use_angular,
+                            gamma, start_index, expansion_cap)
+        return graph
+    if not graph.batches or not graph.vehicles:
+        return graph
 
-    first_miles = None
-    if vectorized and graph.batches and graph.vehicles:
-        # One block kernel call covers every vehicle-batch first-mile check
-        # this window could need (bit-equal to the per-pair point queries).
-        first_miles = cost_model.oracle.distance_matrix(
-            [vehicle.node for vehicle in graph.vehicles],
-            [batch.first_pickup_node for batch in graph.batches], now)
     time_terms = coords = None
-    if vectorized and use_angular and graph.vehicles:
+    if use_angular:
         csr = network.csr()
         time_terms = blended_time_terms(network, now)
         coords = [network.coord(node) for node in csr.node_ids]
 
+    def explorer_for(vehicle: Vehicle):
+        if time_terms is not None and vehicle.node in network.csr().index_of:
+            return VehicleSensitiveExplorer(network, vehicle, now, gamma,
+                                            time_terms=time_terms, coords=coords)
+        # Plain travel-time ordering needs no per-edge callable (the CSR
+        # array kernel inside BestFirstExplorer expands on static weights);
+        # an angular search from a node the CSR does not know takes the
+        # reference closure.
+        weight = (vehicle_sensitive_weight(network, vehicle, now, gamma)
+                  if use_angular else None)
+        return BestFirstExplorer(network, vehicle.node, weight=weight, t=now)
+
+    tracer = current_tracer()
+    with cost_model.planning_scope(
+            (order for batch in graph.batches for order in batch.orders),
+            graph.vehicles):
+        within = (cost_model.distance_matrix(
+            [vehicle.node for vehicle in graph.vehicles],
+            [batch.first_pickup_node for batch in graph.batches], now)
+            <= max_first_mile).tolist()
+        # Explorers of the vehicles still searching; a vehicle's successful
+        # degree is the length of its ``found`` list.
+        searching = {v_idx: explorer_for(vehicle)
+                     for v_idx, vehicle in enumerate(graph.vehicles)}
+        expanded = [0] * len(graph.vehicles)
+        found: list[list[tuple]] = [[] for _ in graph.vehicles]
+        while searching:
+            graph.rounds += 1
+            pairs: list[tuple[int, int]] = []
+            with tracer.span("foodgraph.explore"):
+                for v_idx, explorer in list(searching.items()):
+                    near = within[v_idx]
+                    hoped = len(found[v_idx])
+                    count = expanded[v_idx]
+                    paused = False
+                    for node, _ in explorer:
+                        count += 1
+                        for b_idx in start_index.get(node, ()):
+                            graph.cost_evaluations += 1
+                            if near[b_idx]:
+                                pairs.append((b_idx, v_idx))
+                                hoped += 1
+                        if hoped >= k or count >= expansion_cap:
+                            paused = count < expansion_cap
+                            break
+                    expanded[v_idx] = count
+                    if not paused:
+                        # Cap hit or network exhausted: no further round.
+                        del searching[v_idx]
+            with tracer.span("foodgraph.plan"):
+                edges = _evaluate_pairs(graph, cost_model, now, pairs)
+            for (b_idx, v_idx), edge in zip(pairs, edges, strict=True):
+                if edge is not None:
+                    found[v_idx].append((b_idx, *edge))
+            for v_idx in [v_idx for v_idx in searching if len(found[v_idx]) >= k]:
+                del searching[v_idx]
+    graph.nodes_expanded = sum(expanded)
+    for v_idx, edges in enumerate(found):
+        for b_idx, weight, plan in edges:
+            graph.add_edge(b_idx, v_idx, weight, plan)
+    return graph
+
+
+def _build_sequentially(graph: FoodGraph, cost_model: CostModel, now: float, k: int,
+                        max_first_mile: float, use_angular: bool, gamma: float,
+                        start_index: dict[int, list[int]], expansion_cap: int) -> None:
+    """Alg. 2 one pair at a time: the reference :func:`build_sparsified_foodgraph`
+    is tested against."""
+    network = cost_model.oracle.network
     for v_idx, vehicle in enumerate(graph.vehicles):
-        if use_angular:
-            if time_terms is not None and vehicle.node in network.csr().index_of:
-                explorer = VehicleSensitiveExplorer(
-                    network, vehicle, now, gamma,
-                    time_terms=time_terms, coords=coords)
-            else:
-                explorer = BestFirstExplorer(
-                    network, vehicle.node,
-                    weight=vehicle_sensitive_weight(network, vehicle, now, gamma),
-                    t=now)
-        else:
-            # Plain travel-time ordering needs no per-edge callable: the CSR
-            # array kernel inside BestFirstExplorer expands on static weights.
-            explorer = BestFirstExplorer(network, vehicle.node, weight=None, t=now)
+        blend = (vehicle_sensitive_weight(network, vehicle, now, gamma)
+                 if use_angular else None)
+        explorer = BestFirstExplorer(network, vehicle.node, weight=blend, t=now)
         expanded = 0
         # Each node is settled at most once, so every (batch, vehicle) pair
         # is evaluated at most once and a local counter tracks the vehicle's
         # degree exactly — no per-expansion graph recount needed.
         degree = 0
-        row = first_miles[v_idx] if first_miles is not None else None
         for node, _ in explorer:
             expanded += 1
             for b_idx in start_index.get(node, ()):
-                batch = graph.batches[b_idx]
-                first_mile = float(row[b_idx]) if row is not None else None
-                weight, plan = _pair_weight(batch, vehicle, cost_model, now,
-                                            omega, max_first_mile,
-                                            first_mile=first_mile)
+                weight, plan = _pair_weight(graph.batches[b_idx], vehicle, cost_model,
+                                            now, graph.omega, max_first_mile)
                 graph.cost_evaluations += 1
-                if plan is not None and weight < omega:
+                if plan is not None and weight < graph.omega:
                     graph.add_edge(b_idx, v_idx, weight, plan)
                     degree += 1
             if degree >= k or expanded >= expansion_cap:
                 break
         graph.nodes_expanded += expanded
-    return graph
 
 
 def solve_matching(graph: FoodGraph) -> list[tuple[int, int, RoutePlan, float]]:

@@ -18,7 +18,7 @@ builds its B&R / B&R+BFS / B&R+BFS+A variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from collections.abc import Sequence
 
 from repro.core.batching import BatchingConfig, cluster_orders
@@ -129,8 +129,17 @@ class FoodMatchPolicy(AssignmentPolicy):
         candidates = self.eligible_vehicles(vehicles, now)
         if not orders or not candidates:
             return []
+        # One planning table (and Cost(v, O_v) memo) for the whole window,
+        # dropped when assign returns or raises.
+        with self._cost_model.planning_scope(orders, candidates):
+            return self._assign(orders, candidates, now)
+
+    def _assign(self, orders: Sequence[Order], candidates: list[Vehicle],
+                now: float) -> list[Assignment]:
         cfg = self.config
         tracer = current_tracer()
+        effort_before = (asdict(self._cost_model.search_stats)
+                         if tracer.enabled else None)
 
         with tracer.span("policy.batching"):
             if cfg.use_batching:
@@ -138,8 +147,8 @@ class FoodMatchPolicy(AssignmentPolicy):
                                                 cfg.batching_config())
                 self.total_batches_formed += stats.final_batches
             else:
-                batches = [self._cost_model.make_batch([order], now)
-                           for order in orders]
+                batches = self._cost_model.make_batches(
+                    [[order] for order in orders], now)
                 self.total_batches_formed += len(batches)
 
         with tracer.span("policy.foodgraph"):
@@ -157,6 +166,8 @@ class FoodMatchPolicy(AssignmentPolicy):
                                              max_first_mile=cfg.max_first_mile)
         self.total_cost_evaluations += graph.cost_evaluations
         self.total_nodes_expanded += graph.nodes_expanded
+        if effort_before is not None:
+            self._record_search_effort(tracer.registry, effort_before, graph.rounds)
 
         with tracer.span("policy.matching"):
             matches = solve_matching(graph)
@@ -166,6 +177,15 @@ class FoodMatchPolicy(AssignmentPolicy):
             plan=plan,
             weight=weight,
         ) for batch_idx, vehicle_idx, plan, weight in matches]
+
+    def _record_search_effort(self, registry, before: dict[str, int],
+                              rounds: int) -> None:
+        """One sample per window of each search-effort counter (obs on only)."""
+        stats = self._cost_model.search_stats
+        effort = {name: getattr(stats, name) - start for name, start in before.items()}
+        effort["foodgraph_rounds"] = rounds
+        for name, value in effort.items():
+            registry.histogram(f"search.{name}", low=1.0, high=1e9).record(value)
 
     # ------------------------------------------------------------------ #
     def _degree_bound(self, num_orders: int, num_vehicles: int, num_batches: int) -> int:

@@ -41,17 +41,18 @@ class KMPolicy(AssignmentPolicy):
         candidates = self.eligible_vehicles(vehicles, now)
         if not orders or not candidates:
             return []
-        batches = [self._cost_model.make_batch([order], now) for order in orders]
-        graph = build_full_foodgraph(batches, candidates, self._cost_model, now,
-                                     omega=self._omega,
-                                     max_first_mile=self._max_first_mile)
-        matches = solve_matching(graph)
-        return [Assignment(
-            vehicle=candidates[vehicle_idx],
-            orders=graph.batches[batch_idx].orders,
-            plan=plan,
-            weight=weight,
-        ) for batch_idx, vehicle_idx, plan, weight in matches]
+        with self._cost_model.planning_scope(orders, candidates):
+            batches = self._cost_model.make_batches([[order] for order in orders],
+                                                    now)
+            graph = build_full_foodgraph(batches, candidates, self._cost_model, now,
+                                         omega=self._omega,
+                                         max_first_mile=self._max_first_mile)
+            return [Assignment(
+                vehicle=candidates[vehicle_idx],
+                orders=graph.batches[batch_idx].orders,
+                plan=plan,
+                weight=weight,
+            ) for batch_idx, vehicle_idx, plan, weight in solve_matching(graph)]
 
 
 __all__ = ["KMPolicy"]

@@ -68,9 +68,18 @@ class FigureResult:
     description: str
     data: dict[str, object] = field(default_factory=dict)
     text: str = ""
+    #: tables of wall-clock readings (decision times, budget overflows).  They
+    #: differ from run to run, so they are rendered under ``text`` but kept
+    #: out of it: ``text`` is what ``benchmarks/results/`` tracks.
+    wall_clock_text: str = ""
+
+    @property
+    def rendered(self) -> str:
+        """The whole figure: deterministic tables, then the wall-clock ones."""
+        return "\n".join(filter(None, (self.text, self.wall_clock_text)))
 
     def __str__(self) -> str:  # pragma: no cover - convenience
-        return f"[{self.figure_id}] {self.description}\n{self.text}"
+        return f"[{self.figure_id}] {self.description}\n{self.rendered}"
 
 
 # --------------------------------------------------------------------------- #
@@ -289,17 +298,24 @@ def fig6fgh_scalability(settings: Mapping[str, ExperimentSetting] | None = None,
                                                             budget=budget_seconds),
             "mean_decision_seconds": result.mean_decision_seconds(),
             "total_decision_seconds": result.total_decision_seconds(),
+            "route_plans_per_window": result.route_plans_per_window(),
         } for name, result in results.items()}
-    rows = []
+    work_rows, clock_rows = [], []
     for city, values in data.items():
-        rows.extend([city, name, metrics["overflow_all_pct"],
-                     metrics["overflow_peak_pct"], metrics["mean_decision_seconds"]]
-                    for name, metrics in values.items())
-    text = format_table(["city", "policy", "overflow all %", "overflow peak %",
-                         "mean decision (s)"], rows,
-                        title=f"Fig 6(f-h) — scalability (budget {budget_seconds}s)")
+        for name, metrics in values.items():
+            work_rows.append([city, name, metrics["route_plans_per_window"]])
+            clock_rows.append([city, name, metrics["overflow_all_pct"],
+                               metrics["overflow_peak_pct"],
+                               metrics["mean_decision_seconds"]])
+    text = format_table(["city", "policy", "route plans / window"], work_rows,
+                        title="Fig 6(f-h) companion — decision work per window "
+                              "(machine-independent)")
+    wall_clock_text = format_table(
+        ["city", "policy", "overflow all %", "overflow peak %", "mean decision (s)"],
+        clock_rows, title=f"Fig 6(f-h) — scalability (budget {budget_seconds}s)")
     return FigureResult("Fig 6(f-h)", "Overflown windows and running time",
-                        {"metrics": data, "budget_seconds": budget_seconds}, text)
+                        {"metrics": data, "budget_seconds": budget_seconds},
+                        text, wall_clock_text)
 
 
 def fig6h_single_window_scaling(order_counts: Sequence[int] = (20, 40, 80),
@@ -338,15 +354,16 @@ def fig6h_single_window_scaling(order_counts: Sequence[int] = (20, 40, 80),
             policy.assign(window_orders, vehicles, now)
             series[name].append(_time.perf_counter() - start)
             queries[name].append(oracle.query_count - queries_before)
-    text = format_series(series, "orders in window", list(order_counts),
-                         title=f"Fig 6(h) — single-window decision time, {num_vehicles} vehicles")
-    text += "\n" + format_series(
+    wall_clock_text = format_series(
+        series, "orders in window", list(order_counts),
+        title=f"Fig 6(h) — single-window decision time, {num_vehicles} vehicles")
+    text = format_series(
         {name: [float(q) for q in values] for name, values in queries.items()},
         "orders in window", list(order_counts),
         title="Fig 6(h) companion — shortest-path queries per window (machine-independent work)")
     return FigureResult("Fig 6(h)", "Single-window decision-time scaling",
                         {"order_counts": list(order_counts), "series": series,
-                         "queries": queries}, text)
+                         "queries": queries}, text, wall_clock_text)
 
 
 def fig6ijk_improvement_by_slot(setting: ExperimentSetting | None = None,
@@ -469,6 +486,16 @@ def fig8abc_eta_sweep(setting: ExperimentSetting | None = None,
                         {"etas": list(etas), "series": series}, text)
 
 
+def _split_wall_clock(series: Mapping[str, Sequence[float]], x_label: str,
+                      x_values: list, title: str) -> tuple[str, str]:
+    """Render a sweep as (deterministic series, its running-time series)."""
+    clock = {"mean_decision_seconds": series["mean_decision_seconds"]}
+    exact = {name: values for name, values in series.items() if name not in clock}
+    return (format_series(exact, x_label, x_values, title=title),
+            format_series(clock, x_label, x_values,
+                          title=f"{title}, running time (wall clock)"))
+
+
 def fig8defg_delta_sweep(setting: ExperimentSetting | None = None,
                          deltas: Sequence[float] = (60.0, 120.0, 180.0, 240.0),
                          ) -> FigureResult:
@@ -480,11 +507,14 @@ def fig8defg_delta_sweep(setting: ExperimentSetting | None = None,
         "xdt_hours": sweep.series("xdt_hours_per_day"),
         "orders_per_km": sweep.series("orders_per_km"),
         "waiting_hours": sweep.series("waiting_hours_per_day"),
+        "route_plans_per_window": sweep.series("route_plans_per_window"),
         "mean_decision_seconds": sweep.series("mean_decision_seconds"),
     }
-    text = format_series(series, "delta (s)", list(deltas), title="Fig 8(d-g) — Δ sweep")
+    text, wall_clock_text = _split_wall_clock(series, "delta (s)", list(deltas),
+                                              "Fig 8(d-g) — Δ sweep")
     return FigureResult("Fig 8(d-g)", "Accumulation window sweep",
-                        {"deltas": list(deltas), "series": series}, text)
+                        {"deltas": list(deltas), "series": series},
+                        text, wall_clock_text)
 
 
 def fig8hijk_k_sweep(setting: ExperimentSetting | None = None,
@@ -497,11 +527,13 @@ def fig8hijk_k_sweep(setting: ExperimentSetting | None = None,
         "xdt_hours": sweep.series("xdt_hours_per_day"),
         "orders_per_km": sweep.series("orders_per_km"),
         "waiting_hours": sweep.series("waiting_hours_per_day"),
+        "route_plans_per_window": sweep.series("route_plans_per_window"),
         "mean_decision_seconds": sweep.series("mean_decision_seconds"),
     }
-    text = format_series(series, "k", list(ks), title="Fig 8(h-k) — k sweep")
+    text, wall_clock_text = _split_wall_clock(series, "k", list(ks),
+                                              "Fig 8(h-k) — k sweep")
     return FigureResult("Fig 8(h-k)", "FoodGraph degree-bound sweep",
-                        {"ks": list(ks), "series": series}, text)
+                        {"ks": list(ks), "series": series}, text, wall_clock_text)
 
 
 def fig9_gamma_sweep(setting: ExperimentSetting | None = None,

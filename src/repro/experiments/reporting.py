@@ -135,6 +135,12 @@ def format_telemetry_report(telemetry,
     plans = telemetry.counters.get("cost.route_plans")
     if plans:
         report += f"\ncost model: {plans:,.0f} route plans evaluated"
+        passes = telemetry.counters.get("cost.kernel_passes")
+        if passes:
+            rows = telemetry.counters.get("cost.kernel_rows", 0)
+            reused = telemetry.counters.get("cost.base_plans_reused", 0)
+            report += (f" in {passes:,.0f} kernel passes ({rows:,.0f} permutation "
+                       f"rows; {reused:,.0f} base plans reused)")
     resilience = telemetry.meta.get("resilience")
     if resilience is not None:
         report += (

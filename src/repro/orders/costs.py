@@ -16,19 +16,29 @@ choice of shortest-path backend is orthogonal to the cost definitions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.network.distance_oracle import DistanceOracle
 from repro.obs.trace import current_tracer
 from repro.orders.batch import Batch
 from repro.orders.order import Order
 from repro.orders.route_plan import (
+    SCALAR_SCAN_ROWS,
+    PlanningTable,
+    PlanRequest,
     RoutePlan,
     best_route_plan,
     best_route_plan_vectorized,
     insertion_route_plan,
+    permutation_rows,
+    scan_route_plan,
 )
 from repro.orders.vehicle import Vehicle
 
@@ -45,6 +55,50 @@ def shortest_delivery_time(order: Order, oracle: DistanceOracle) -> float:
     return order.prep_time + direct
 
 
+@dataclass
+class SearchStats:
+    """Cumulative route-plan search effort of a :class:`CostModel`.
+
+    Bare ints next to :attr:`CostModel.plan_calls`; the engine folds per-run
+    deltas into the run telemetry and the policies record per-window deltas.
+    """
+
+    #: calls of the array kernel (one per plan shape per bulk search)
+    kernel_passes: int = 0
+    #: requests x valid permutations those passes walked
+    kernel_rows: int = 0
+    #: marginal costs whose ``Cost(v, O_v)`` came from the window's memo
+    base_plans_reused: int = 0
+
+
+class _Search:
+    """Outcome of one bulk search: costs up front, route plans on demand."""
+
+    __slots__ = ("cost", "finish", "winner", "table", "_plans", "_requests")
+
+    def __init__(self, requests: Sequence[PlanRequest]) -> None:
+        self._requests = requests
+        self.cost: list[float] = [0.0] * len(requests)
+        self.finish: list[float] = [0.0] * len(requests)
+        self._plans: list[RoutePlan | None] = [None] * len(requests)
+        #: kernel results: each request's winning permutation row, and the
+        #: table :meth:`plan` replays it on
+        self.winner: list[int] = [0] * len(requests)
+        self.table: PlanningTable | None = None
+
+    def set_plan(self, i: int, plan: RoutePlan) -> None:
+        self._plans[i] = plan
+        self.cost[i] = plan.cost
+        self.finish[i] = plan.evaluation.finish_time
+
+    def plan(self, i: int) -> RoutePlan:
+        plan = self._plans[i]
+        if plan is None:
+            plan = self._plans[i] = self.table.route_plan(self._requests[i],
+                                                          self.winner[i])
+        return plan
+
+
 class CostModel:
     """Shared cost computations over a distance oracle.
 
@@ -52,6 +106,25 @@ class CostModel:
     cost the policies need.  It is deliberately stateless with respect to the
     assignment process itself — policies and the simulator own all mutable
     state.
+
+    **Planning scope.**  The one exception is :meth:`planning_scope`, which a
+    policy enters at the top of ``assign`` and leaves on exit: for its
+    duration the model holds one :class:`~repro.orders.route_plan.PlanningTable`
+    — a single static distance block over the window's node universe (the
+    eligible vehicles' nodes and the restaurant/customer nodes of the pool
+    orders and of the orders those vehicles carry) — that serves every leg,
+    first-mile check and batching gap check of the window, plus a memo of
+    ``Cost(v, O_v)`` per vehicle.  Nothing outlives the ``with`` block, and
+    traffic updates only happen between windows, so the table needs no
+    invalidation: a plan requested after ``apply_traffic_updates`` is
+    served by a table built after it, or by the oracle itself.
+
+    Route plans are searched in bulk (:meth:`make_batches`,
+    :meth:`merge_costs`, :meth:`marginal_costs`): all requests of one call
+    that share a plan shape go through one pass of the array kernel.  The
+    single-request methods are the same code with a list of one; a lone
+    request too small for the kernel is scanned in Python instead, chosen by
+    its permutation count.
     """
 
     def __init__(self, oracle: DistanceOracle, planner: str = "auto",
@@ -65,11 +138,11 @@ class CostModel:
         ones), and ``"auto"`` (default) is exhaustive up to 8 stops and
         insertion beyond.
 
-        ``vectorized`` (default) runs the exhaustive search on the array
-        kernel (:func:`~repro.orders.route_plan.best_route_plan_vectorized`),
-        which returns bit-identical plans; ``False`` keeps the scalar
-        reference scan, used by the equivalence tests and the end-to-end
-        benchmark's reference mode.
+        ``vectorized=False`` answers every exhaustive search with the scalar
+        reference scan (:func:`~repro.orders.route_plan.best_route_plan`)
+        over point queries and makes :meth:`planning_scope` a no-op; it
+        exists for the equivalence tests and the end-to-end benchmark's
+        reference mode, which require bit-identical plans from both.
         """
         if planner not in {"auto", "exhaustive", "insertion"}:
             raise ValueError(f"unknown planner {planner!r}")
@@ -77,11 +150,15 @@ class CostModel:
         self._planner = planner
         self._vectorized = vectorized
         self._sdt_cache: dict[int, float] = {}
-        #: Route-planner invocations over the model's lifetime.  A bare int
-        #: (not a registry counter) because the increment sits on the per-
-        #: candidate-edge hot path; the engine folds per-run deltas into the
-        #: run telemetry alongside the oracle counters.
+        self._table: PlanningTable | None = None
+        #: ``Cost(v, O_v)`` by ``(vehicle_id, now)``; lives and dies with the scope
+        self._base_costs: dict[tuple[int, float], float] | None = None
+        #: Route plans searched over the model's lifetime.  A bare int (not a
+        #: registry counter) because the increment sits on the planning hot
+        #: path; the engine folds per-run deltas into the run telemetry
+        #: alongside the oracle counters.
         self.plan_calls = 0
+        self.search_stats = SearchStats()
 
     @property
     def oracle(self) -> DistanceOracle:
@@ -91,90 +168,124 @@ class CostModel:
     def planner(self) -> str:
         return self._planner
 
-    def _prefetched_distance(self, nodes: Sequence[int]):
-        """Distance callable backed by one batched static block query.
+    # ------------------------------------------------------------------ #
+    # the window-scoped planning context
+    # ------------------------------------------------------------------ #
+    @contextmanager
+    def planning_scope(self, orders: Iterable[Order],
+                       vehicles: Sequence[Vehicle] = ()) -> Iterator[None]:
+        """Hold one planning table over ``orders`` and ``vehicles`` for the block.
 
-        Route planning evaluates every stop permutation, so each node pair
-        among the stops is queried many times over; prefetching the full
-        pairwise static matrix through the oracle's vectorised block API and
-        serving legs from a flat dict (scaled by the slot multiplier of the
-        leg's departure time) removes the per-leg oracle round trip from the
-        marginal-cost hot loop.
+        The universe is the vehicles' nodes plus both nodes of every given
+        order and of every order a vehicle carries.  Vehicles must not be
+        mutated inside the block (policies never do): their ``Cost(v, O_v)``
+        is memoised per scope.  Entering a scope inside one that already
+        covers the universe reuses it, so the builders can scope themselves
+        and still share the table ``assign`` opened.
         """
-        unique = list(dict.fromkeys(nodes))
-        static = self._oracle.static_distance_matrix(unique, unique).tolist()
-        table: dict[tuple[int, int], float] = {}
-        for i, u in enumerate(unique):
-            row = static[i]
-            for j, v in enumerate(unique):
-                table[(u, v)] = row[j]
-        multiplier = self._oracle.network.profile.multiplier
+        orders = list(itertools.chain(
+            orders, (order for vehicle in vehicles
+                     for order in vehicle.assigned.values())))
+        start_nodes = [vehicle.node for vehicle in vehicles]
+        outer = self._table
+        if not self._vectorized or (outer is not None
+                                    and outer.covers(orders, start_nodes)):
+            yield
+            return
+        saved = (outer, self._base_costs)
+        self._table = PlanningTable(self._oracle, orders, start_nodes, self.sdt)
+        self._base_costs = {}
+        try:
+            yield
+        finally:
+            self._table, self._base_costs = saved
 
-        def distance(u: int, v: int, t: float) -> float:
-            return table[(u, v)] * multiplier(t)
+    def distance(self, source: int, target: int, t: float) -> float:
+        """``SP(source, target, t)``, off the planning table when it has both nodes."""
+        table = self._table
+        if table is not None and source in table.index and target in table.index:
+            return table.distance(source, target, t)
+        return self._oracle.distance(source, target, t)
 
-        return distance
+    def distance_matrix(self, sources: Sequence[int], targets: Sequence[int],
+                        t: float) -> np.ndarray:
+        """Cross-product travel times, off the planning table when it has the nodes."""
+        table = self._table
+        if table is None or not table.covers((), itertools.chain(sources, targets)):
+            return self._oracle.distance_matrix(sources, targets, t)
+        return table.distance_matrix(sources, targets, t)
 
-    def _plan(self, new_orders: Sequence[Order], start_node: int, start_time: float,
-              onboard_orders: Sequence[Order] = ()) -> RoutePlan:
-        """Compute a quickest route plan with the configured planner.
+    # ------------------------------------------------------------------ #
+    # route-plan search
+    # ------------------------------------------------------------------ #
+    def _search(self, requests: Sequence[PlanRequest]) -> _Search:
+        """Search the quickest route plan of every request.
 
-        Route planning runs once per candidate FoodGraph edge — tens of
-        thousands of calls per simulated hour, far too hot for per-call span
-        records, and hot enough that even two clock reads per call cost a
-        few percent of the whole run.  Summary mode therefore only counts
-        invocations (:attr:`plan_calls`, folded into the run telemetry);
-        the per-call latency histogram (``cost.route_plan``) is recorded in
-        trace mode only, where the deep-dive is worth the measurement tax.
+        Requests for the insertion heuristic, for the scalar reference
+        (``vectorized=False``) and for exhaustive plans beyond the auto limit
+        (whose permutation matrix would not fit) are planned one by one.
+        The rest are grouped by plan shape and each group takes one pass of
+        the array kernel — unless all of them together come to no more than
+        :data:`~repro.orders.route_plan.SCALAR_SCAN_ROWS` permutations, the
+        size of one lone small request (Greedy, Reyes, the engine's
+        reshuffle), which a Python scan finishes before the kernel has set
+        up.  Summary mode only counts (:attr:`plan_calls`,
+        :attr:`search_stats`); trace mode adds one ``cost.route_plan``
+        latency sample per kernel pass.
         """
-        self.plan_calls += 1
+        self.plan_calls += len(requests)
+        search = _Search(requests)
+        table = self._table
+        distance = table.distance if table is not None else self._oracle.distance
+        shapes: dict[tuple[int, int], list[int]] = {}
+        rows = 0
+        for i, request in enumerate(requests):
+            new_orders, start_node, start_time, onboard = request
+            stop_count = 2 * len(new_orders) + len(onboard)
+            if self._planner == "insertion" or (
+                    self._planner == "auto"
+                    and stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT):
+                search.set_plan(i, insertion_route_plan(
+                    new_orders, start_node, start_time, distance, self.sdt,
+                    onboard_orders=onboard))
+            elif not self._vectorized or stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT:
+                search.set_plan(i, best_route_plan(
+                    new_orders, start_node, start_time, distance, self.sdt,
+                    onboard_orders=onboard))
+            else:
+                shape = (len(new_orders), len(onboard))
+                shapes.setdefault(shape, []).append(i)
+                rows += permutation_rows(shape)
+        if rows <= SCALAR_SCAN_ROWS:
+            for members in shapes.values():
+                for i in members:
+                    search.set_plan(i, scan_route_plan(requests[i], distance,
+                                                       self.sdt))
+            return search
+        if table is None:
+            # A bulk search outside any scope: a table of its own.
+            bulk = [requests[i] for members in shapes.values() for i in members]
+            table = PlanningTable(
+                self._oracle,
+                (order for r in bulk for order in r.new_orders + r.onboard_orders),
+                (r.start_node for r in bulk), self.sdt)
+        search.table = table
+        stats = self.search_stats
         tracer = current_tracer()
-        if not tracer.keep_records:
-            return self._plan_impl(new_orders, start_node, start_time,
-                                   onboard_orders)
-        start = time.perf_counter()
-        plan = self._plan_impl(new_orders, start_node, start_time,
-                               onboard_orders)
-        tracer.observe("cost.route_plan", time.perf_counter() - start)
-        return plan
-
-    def _plan_impl(self, new_orders: Sequence[Order], start_node: int,
-                   start_time: float,
-                   onboard_orders: Sequence[Order] = ()) -> RoutePlan:
-        stop_count = 2 * len(new_orders) + len(onboard_orders)
-        nodes = [start_node]
-        for order in new_orders:
-            nodes.append(order.restaurant_node)
-            nodes.append(order.customer_node)
-        nodes.extend(order.customer_node for order in onboard_orders)
-        insertion = self._planner == "insertion" or (
-            self._planner == "auto" and stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT)
-        # The array kernel pays a fixed setup cost per plan (permutation
-        # pattern gather, one static block query); below ~5 stops there are
-        # at most a handful of valid permutations and the scalar scan wins.
-        # Above the auto limit it is never used even under an explicit
-        # "exhaustive" planner: it materialises the size! permutation matrix
-        # up front, which stops being viable where the lazy scalar scan is
-        # merely slow.
-        if (self._vectorized and not insertion
-                and 5 <= stop_count <= _AUTO_EXHAUSTIVE_STOP_LIMIT):
-            return best_route_plan_vectorized(new_orders, start_node, start_time,
-                                              self._oracle, self.sdt,
-                                              onboard_orders=onboard_orders)
-        # Tiny plans evaluate too few legs for the prefetch to pay for
-        # itself (the permutation count, and with it the number of repeated
-        # pair lookups, grows factorially with the stop count).
-        if stop_count >= 5 and len(set(nodes)) >= 4:
-            distance = self._prefetched_distance(nodes)
-        else:
-            distance = self._oracle.distance
-        if insertion:
-            return insertion_route_plan(new_orders, start_node, start_time,
-                                        distance, self.sdt,
-                                        onboard_orders=onboard_orders)
-        return best_route_plan(new_orders, start_node, start_time,
-                               distance, self.sdt,
-                               onboard_orders=onboard_orders)
+        for shape, members in shapes.items():
+            began = time.perf_counter() if tracer.keep_records else 0.0
+            winner, cost, finish = best_route_plan_vectorized(
+                [requests[i] for i in members], table)
+            if tracer.keep_records:
+                tracer.observe("cost.route_plan", time.perf_counter() - began)
+            stats.kernel_passes += 1
+            stats.kernel_rows += permutation_rows(shape) * len(members)
+            for i, w, c, f in zip(members, winner.tolist(), cost.tolist(),
+                                  finish.tolist(), strict=True):
+                search.winner[i] = w
+                search.cost[i] = c
+                search.finish[i] = f
+        return search
 
     # ------------------------------------------------------------------ #
     # basic quantities
@@ -236,21 +347,79 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # route plans and vehicle costs
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _vehicle_request(vehicle: Vehicle, new_orders: Sequence[Order],
+                         now: float) -> PlanRequest:
+        """Orders already on board only need drop-offs; pending (assigned but
+        not picked-up) orders and the new orders need both stops."""
+        return PlanRequest(tuple(vehicle.pending_orders()) + tuple(new_orders),
+                           vehicle.node, now, tuple(vehicle.onboard_orders()))
+
     def plan_for_vehicle(self, vehicle: Vehicle, new_orders: Sequence[Order],
                          now: float) -> RoutePlan:
-        """Quickest route plan for a vehicle after adding ``new_orders``.
-
-        Orders already on board only need drop-offs; pending (assigned but
-        not picked-up) orders and the new orders need both stops.
-        """
-        pending = vehicle.pending_orders()
-        return self._plan(list(pending) + list(new_orders), vehicle.node, now,
-                          onboard_orders=vehicle.onboard_orders())
+        """Quickest route plan for a vehicle after adding ``new_orders``."""
+        return self._search([self._vehicle_request(vehicle, new_orders, now)]).plan(0)
 
     def vehicle_cost(self, vehicle: Vehicle, extra_orders: Sequence[Order],
                      now: float) -> float:
         """``Cost(v, O_v^t ∪ extra_orders)`` (Eq. 4)."""
-        return self.plan_for_vehicle(vehicle, extra_orders, now).cost
+        return self._search(
+            [self._vehicle_request(vehicle, extra_orders, now)]).cost[0]
+
+    def _base_costs_of(self, vehicles: Iterable[Vehicle], now: float,
+                       ) -> dict[tuple[int, float], float]:
+        """``Cost(v, O_v)`` of each vehicle, by ``(vehicle_id, now)``.
+
+        One bulk search over the vehicles the memo does not have yet; inside
+        a planning scope the memo is the scope's, so a vehicle's "without"
+        plan is searched once per window however many batches it is offered.
+        """
+        memo = self._base_costs if self._base_costs is not None else {}
+        missing: dict[tuple[int, float], Vehicle] = {}
+        for vehicle in vehicles:
+            key = (vehicle.vehicle_id, now)
+            if key in memo or key in missing:
+                self.search_stats.base_plans_reused += 1
+            else:
+                missing[key] = vehicle
+        if missing:
+            search = self._search([self._vehicle_request(vehicle, (), now)
+                                   for vehicle in missing.values()])
+            memo.update(zip(missing, search.cost, strict=True))
+        return memo
+
+    def marginal_costs(self, pairs: Sequence[tuple[Sequence[Order], Vehicle]],
+                       now: float) -> tuple[list[float], Callable[[int], RoutePlan]]:
+        """``mCost(pi, v)`` (Eq. 7) of many ``(orders, vehicle)`` pairs at once.
+
+        Returns the marginal cost of every pair — ``inf`` when the capacity
+        constraints of Def. 4 are violated or some location is unreachable
+        from the vehicle — and a function giving, on demand, the route plan
+        that realises the finite cost of pair ``i`` (a FoodGraph wants every
+        weight but only the plans of the pairs it ends up matching).  All
+        "with" plans go through one bulk search, then the "without" plans of
+        the vehicles that still need one through another.
+        """
+        weights = [INFINITY] * len(pairs)
+        request_of: dict[int, int] = {}
+        carried: dict[int, tuple[tuple[Order, ...], tuple[Order, ...]]] = {}
+        requests = []
+        for i, (orders, vehicle) in enumerate(pairs):
+            if not vehicle.can_accept(orders):
+                continue
+            held = carried.get(vehicle.vehicle_id)
+            if held is None:
+                held = carried[vehicle.vehicle_id] = (
+                    tuple(vehicle.pending_orders()), tuple(vehicle.onboard_orders()))
+            request_of[i] = len(requests)
+            requests.append(PlanRequest(held[0] + tuple(orders), vehicle.node,
+                                        now, held[1]))
+        search = self._search(requests)
+        reachable = [i for i, j in request_of.items() if search.cost[j] != INFINITY]
+        base = self._base_costs_of((pairs[i][1] for i in reachable), now)
+        for i in reachable:
+            weights[i] = search.cost[request_of[i]] - base[(pairs[i][1].vehicle_id, now)]
+        return weights, lambda i: search.plan(request_of[i])
 
     def marginal_cost(self, orders: Sequence[Order], vehicle: Vehicle, now: float,
                       ) -> tuple[float, RoutePlan | None]:
@@ -259,44 +428,68 @@ class CostModel:
         Returns ``(inf, None)`` when the capacity constraints of Def. 4 are
         violated or when some location is unreachable from the vehicle.
         """
-        if not vehicle.can_accept(orders):
-            return INFINITY, None
-        plan_with = self.plan_for_vehicle(vehicle, orders, now)
-        if plan_with.cost == INFINITY:
-            return INFINITY, None
-        cost_without = self.plan_for_vehicle(vehicle, (), now).cost
-        return plan_with.cost - cost_without, plan_with
+        (weight,), plan_of = self.marginal_costs([(orders, vehicle)], now)
+        return weight, (plan_of(0) if weight != INFINITY else None)
 
     # ------------------------------------------------------------------ #
     # batches
     # ------------------------------------------------------------------ #
-    def make_batch(self, orders: Sequence[Order], now: float) -> Batch:
-        """Build a batch with the quickest internal route plan (Sec. IV-B1).
+    def _search_batches(self, order_sets: Sequence[Sequence[Order]], now: float,
+                        ) -> tuple[list[float], Callable[[int], Batch]]:
+        """Per order set: its batch cost now, and the batch itself on demand.
 
         The paper evaluates a batch with a virtual vehicle whose initial
-        location is the first stop of the batch's optimal route plan; we
-        realise this by trying each member restaurant as the virtual start
-        and keeping the cheapest resulting plan.
+        location is the first stop of the batch's optimal route plan
+        (Sec. IV-B1); we realise this by trying each member restaurant as
+        the virtual start and keeping the cheapest resulting plan.  Every
+        start of every set is one request of a single bulk search.
         """
-        ordered = tuple(sorted(orders, key=lambda o: o.order_id))
-        best_plan: RoutePlan | None = None
-        for start in {order.restaurant_node for order in ordered}:
-            plan = self._plan(list(ordered), start, now)
-            if best_plan is None or (plan.cost, plan.evaluation.finish_time) < (
-                    best_plan.cost, best_plan.evaluation.finish_time):
-                best_plan = plan
-        assert best_plan is not None
-        return Batch(ordered, best_plan)
+        members: list[tuple[Order, ...]] = []
+        requests: list[PlanRequest] = []
+        ends: list[int] = []
+        for orders in order_sets:
+            ordered = tuple(sorted(orders, key=lambda o: o.order_id))
+            members.append(ordered)
+            # Set iteration order decides ties between starts, as it always has.
+            requests.extend(PlanRequest(ordered, start, now)
+                            for start in {order.restaurant_node for order in ordered})
+            ends.append(len(requests))
+        search = self._search(requests)
+        keys = list(zip(search.cost, search.finish, strict=True))
+        best = [min(range(begin, end), key=keys.__getitem__)
+                for begin, end in zip([0] + ends, ends, strict=False)]
+        return ([search.cost[j] for j in best],
+                lambda i: Batch(members[i], search.plan(best[i])))
+
+    def make_batches(self, order_sets: Sequence[Sequence[Order]],
+                     now: float) -> list[Batch]:
+        """One batch per order set, each with its quickest internal route plan."""
+        _, batch_of = self._search_batches(order_sets, now)
+        return [batch_of(i) for i in range(len(order_sets))]
+
+    def make_batch(self, orders: Sequence[Order], now: float) -> Batch:
+        """Build a batch with the quickest internal route plan (Sec. IV-B1)."""
+        return self.make_batches([orders], now)[0]
+
+    def merge_costs(self, pairs: Sequence[tuple[Batch, Batch]], now: float,
+                    ) -> tuple[list[float], Callable[[int], Batch]]:
+        """Order-graph edge weights ``w_ij`` (Eq. 5) of many batch pairs at once.
+
+        ``w_ij = Cost(v_ij, pi_i ∪ pi_j) - Cost(v_i, pi_i) - Cost(v_j, pi_j)``;
+        Theorem 2 guarantees the value is non-negative.  Returns the weights
+        and a function giving the merged batch of pair ``i`` on demand
+        (clustering weighs every candidate merge but performs few).
+        """
+        costs, merged_of = self._search_batches(
+            [left.orders + right.orders for left, right in pairs], now)
+        return ([max(0.0, cost - (left.cost + right.cost))
+                 for (left, right), cost in zip(pairs, costs, strict=True)],
+                merged_of)
 
     def merge_cost(self, left: Batch, right: Batch, now: float) -> tuple[float, Batch]:
-        """Edge weight ``w_ij`` of the order graph (Eq. 5) and the merged batch.
-
-        ``w_ij = Cost(v_ij, pi_i ∪ pi_j) - Cost(v_i, pi_i) - Cost(v_j, pi_j)``.
-        Theorem 2 guarantees the value is non-negative.
-        """
-        merged = self.make_batch(list(left.orders) + list(right.orders), now)
-        weight = merged.cost - (left.cost + right.cost)
-        return max(0.0, weight), merged
+        """Edge weight ``w_ij`` of the order graph (Eq. 5) and the merged batch."""
+        (weight,), merged_of = self.merge_costs([(left, right)], now)
+        return weight, merged_of(0)
 
 
-__all__ = ["CostModel", "shortest_delivery_time"]
+__all__ = ["CostModel", "SearchStats", "shortest_delivery_time"]

@@ -24,7 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +121,18 @@ class RoutePlan:
         return len(self.stops)
 
 
+def _base_stops(new_orders: Sequence[Order],
+                onboard_orders: Sequence[Order]) -> list[RouteStop]:
+    """Stops in base layout: [pickup_0, dropoff_0, ..., onboard drop-offs...]."""
+    stops: list[RouteStop] = []
+    for order in new_orders:
+        stops.append(RouteStop(order.restaurant_node, order, True))
+        stops.append(RouteStop(order.customer_node, order, False))
+    stops.extend(RouteStop(order.customer_node, order, False)
+                 for order in onboard_orders)
+    return stops
+
+
 def enumerate_route_plans(new_orders: Sequence[Order],
                           onboard_orders: Sequence[Order] = ()) -> Iterator[tuple[RouteStop, ...]]:
     """Yield every valid stop sequence for the given orders.
@@ -128,12 +141,7 @@ def enumerate_route_plans(new_orders: Sequence[Order],
     have already been picked up, so only their drop-off stop appears.  A
     sequence is valid when each pick-up precedes the corresponding drop-off.
     """
-    stops: list[RouteStop] = []
-    for order in new_orders:
-        stops.append(RouteStop(order.restaurant_node, order, True))
-        stops.append(RouteStop(order.customer_node, order, False))
-    stops.extend(RouteStop(order.customer_node, order, False)
-                 for order in onboard_orders)
+    stops = _base_stops(new_orders, onboard_orders)
     if not stops:
         yield ()
         return
@@ -217,14 +225,44 @@ def best_route_plan(new_orders: Sequence[Order], start_node: int, start_time: fl
 
 
 # --------------------------------------------------------------------------- #
-# vectorised exhaustive search
+# bulk exhaustive search
 # --------------------------------------------------------------------------- #
+#: Upper bound on the rows (requests x valid permutations) one array pass of
+#: :func:`best_route_plan_vectorized` walks; longer request lists are cut
+#: into chunks of whole requests.  A constant rather than an option: it only
+#: bounds the kernel's temporaries (a dozen float64 arrays of this many
+#: elements, ~1.5 MiB) and never changes a result, and throughput on the
+#: benchmark workloads is flat from 4k to 256k rows, so there is nothing to
+#: tune.
+KERNEL_ROW_BUDGET = 1 << 14
+
+#: A request list whose permutations add up to at most this many rows is
+#: scanned in Python (:func:`scan_route_plan`): one lone request of up to
+#: four stops has at most 24 valid permutations, fewer than the array
+#: kernel's fixed set-up cost pays for.
+SCALAR_SCAN_ROWS = 24
+
+
+class PlanRequest(NamedTuple):
+    """One quickest-route-plan search (the arguments of :func:`best_route_plan`)."""
+
+    new_orders: tuple[Order, ...]
+    start_node: int
+    start_time: float
+    onboard_orders: tuple[Order, ...] = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(num_new, num_onboard)``: what the valid permutations depend on."""
+        return len(self.new_orders), len(self.onboard_orders)
+
+
 # Valid stop-sequence patterns per (num_new_orders, num_onboard_orders): the
 # stops list is always laid out [pickup_0, dropoff_0, pickup_1, dropoff_1, ...,
 # onboard dropoffs...], so the set of valid permutations (every pickup before
 # its dropoff) depends only on the two counts.  Cached as an index matrix in
 # the exact order `itertools.permutations` produces, which is what makes the
-# vectorised search tie-break identically to the scalar scan.
+# bulk search tie-break identically to the scalar scan.
 _PERM_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -235,7 +273,8 @@ def _valid_permutations(num_new: int, num_onboard: int) -> np.ndarray:
     if cached is not None:
         return cached
     size = 2 * num_new + num_onboard
-    perms = np.array(list(itertools.permutations(range(size))), dtype=np.int64)
+    sequences = list(itertools.permutations(range(size)))
+    perms = np.array(sequences, dtype=np.int64).reshape(len(sequences), size)
     positions = np.empty_like(perms)
     rows = np.arange(len(perms))[:, None]
     positions[rows, perms] = np.arange(size)[None, :]
@@ -247,97 +286,215 @@ def _valid_permutations(num_new: int, num_onboard: int) -> np.ndarray:
     return cached
 
 
-def best_route_plan_vectorized(new_orders: Sequence[Order], start_node: int,
-                               start_time: float, oracle, sdt_lookup,
-                               onboard_orders: Sequence[Order] = ()) -> RoutePlan:
-    """Array-kernel equivalent of :func:`best_route_plan`.
+def permutation_rows(shape: tuple[int, int]) -> int:
+    """Number of valid stop sequences of a plan shape (rows per request)."""
+    return len(_valid_permutations(*shape))
 
-    All valid stop permutations are evaluated simultaneously: one static
-    distance block over the plan's unique nodes replaces the per-leg oracle
-    round trips, and the stop walk runs as a short loop over stop positions
-    with element-wise operations across permutations.  Every element-wise
-    operation performs the identical IEEE arithmetic in the identical order
-    as :func:`evaluate_plan`, and the winner is the first permutation (in
-    ``itertools.permutations`` order) attaining the lexicographic minimum of
-    ``(total_xdt, finish_time)`` — exactly the plan the scalar scan keeps.
-    The returned :class:`RoutePlan` re-evaluates only that winner to build
-    the full :class:`PlanEvaluation`, so it is bit-identical to the scalar
-    result.  The property tests compare both over random plans.
+
+class PlanningTable:
+    """What the bulk search gathers from: legs and stop attributes, as arrays.
+
+    One :meth:`DistanceOracle.static_distance_matrix` block over ``nodes``
+    holds the static travel time of every leg any plan over ``orders`` from
+    any of the ``start_nodes`` can contain; the per-order arrays hold what
+    :func:`evaluate_plan` reads off a stop (node, ready time, placement
+    time, shortest delivery time).  Orders are addressed by ``order_id``,
+    the identity :class:`~repro.orders.order.Order` itself compares by.
+
+    The table is a snapshot of the oracle at construction: whoever keeps one
+    across a traffic update reads stale legs.  :class:`CostModel` therefore
+    only ever holds one for the duration of a single ``assign`` call.
     """
-    stops: list[RouteStop] = []
-    for order in new_orders:
-        stops.append(RouteStop(order.restaurant_node, order, True))
-        stops.append(RouteStop(order.customer_node, order, False))
-    stops.extend(RouteStop(order.customer_node, order, False)
-                 for order in onboard_orders)
-    size = len(stops)
 
-    unique_nodes = list(dict.fromkeys(
-        [start_node] + [stop.node for stop in stops]))
-    static = oracle.static_distance_matrix(unique_nodes, unique_nodes)
-    node_index = {node: i for i, node in enumerate(unique_nodes)}
-    multipliers = np.asarray(oracle.network.profile.multipliers, dtype=np.float64)
+    def __init__(self, oracle, orders: Iterable[Order],
+                 start_nodes: Iterable[int], sdt_lookup) -> None:
+        orders = list({order.order_id: order for order in orders}.values())
+        nodes = list(dict.fromkeys(itertools.chain(
+            (node for order in orders
+             for node in (order.restaurant_node, order.customer_node)),
+            start_nodes)))
+        self.index: dict[int, int] = {node: i for i, node in enumerate(nodes)}
+        self.static = oracle.static_distance_matrix(nodes, nodes)
+        self._rows: list[list[float]] | None = None
+        profile = oracle.network.profile
+        self._multiplier = profile.multiplier
+        self.multipliers = np.asarray(profile.multipliers, dtype=np.float64)
+        self.sdt_lookup = sdt_lookup
+        index = self.index
+        self.slot: dict[int, int] = {order.order_id: i
+                                     for i, order in enumerate(orders)}
+        self.pickup_node = np.array([index[o.restaurant_node] for o in orders],
+                                    dtype=np.intp)
+        self.dropoff_node = np.array([index[o.customer_node] for o in orders],
+                                     dtype=np.intp)
+        self.ready = np.array([o.ready_at for o in orders], dtype=np.float64)
+        self.placed = np.array([o.placed_at for o in orders], dtype=np.float64)
+        self.sdt = np.array([sdt_lookup(o) for o in orders], dtype=np.float64)
+        # Stops are immutable, so every plan over an order shares these two.
+        self.pickup_stop = [RouteStop(o.restaurant_node, o, True) for o in orders]
+        self.dropoff_stop = [RouteStop(o.customer_node, o, False) for o in orders]
 
-    def finish_plan(best_stops: tuple[RouteStop, ...]) -> RoutePlan:
-        table = static.tolist()
-        multiplier = oracle.network.profile.multiplier
+    def covers(self, orders: Iterable[Order], start_nodes: Iterable[int]) -> bool:
+        """Whether every plan over these orders and starts reads only this table."""
+        return (all(order.order_id in self.slot for order in orders)
+                and all(node in self.index for node in start_nodes))
 
-        def distance(u: int, v: int, t: float) -> float:
-            return table[node_index[u]][node_index[v]] * multiplier(t)
+    def static_distance(self, u: int, v: int) -> float:
+        """Static (profile-free) travel time between two of the table's nodes."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self.static.tolist()
+        return rows[self.index[u]][self.index[v]]
 
-        evaluation = evaluate_plan(best_stops, start_node, start_time,
-                                   distance, sdt_lookup)
-        return RoutePlan(best_stops, start_node, start_time, evaluation)
+    def distance(self, u: int, v: int, t: float) -> float:
+        """``SP(u, v, t)`` — float for float what ``DistanceOracle.distance`` returns."""
+        return self.static_distance(u, v) * self._multiplier(t)
 
+    def distance_matrix(self, sources: Sequence[int], targets: Sequence[int],
+                        t: float) -> np.ndarray:
+        """Cross-product travel times — element for element what
+        ``DistanceOracle.distance_matrix`` returns."""
+        index = self.index
+        block = self.static[np.ix_([index[node] for node in sources],
+                                   [index[node] for node in targets])]
+        return block * self._multiplier(t)
+
+    def stops(self, request: PlanRequest) -> list[RouteStop]:
+        """The request's stops in base layout (what a permutation row indexes)."""
+        slot = self.slot
+        stops: list[RouteStop] = []
+        for order in request.new_orders:
+            i = slot[order.order_id]
+            stops.append(self.pickup_stop[i])
+            stops.append(self.dropoff_stop[i])
+        stops.extend(self.dropoff_stop[slot[order.order_id]]
+                     for order in request.onboard_orders)
+        return stops
+
+    def route_plan(self, request: PlanRequest, winner: int) -> RoutePlan:
+        """The fully evaluated plan of one request's winning permutation row.
+
+        Re-walks only that one stop sequence with :func:`evaluate_plan`, so
+        the :class:`PlanEvaluation` is the scalar scan's, bit for bit.
+        """
+        base = self.stops(request)
+        perm = _valid_permutations(*request.shape)[winner].tolist()
+        stops = tuple(base[i] for i in perm)
+        evaluation = evaluate_plan(stops, request.start_node, request.start_time,
+                                   self.distance, self.sdt_lookup)
+        return RoutePlan(stops, request.start_node, request.start_time, evaluation)
+
+
+def best_route_plan_vectorized(requests: Sequence[PlanRequest], table: PlanningTable,
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array-kernel equivalent of :func:`best_route_plan` for R same-shape requests.
+
+    Rows are requests x valid permutations of the shared ``(num_new,
+    num_onboard)`` shape: the stop walk runs as a short loop over stop
+    positions with element-wise operations across all rows, legs gathered
+    from ``table.static``.  Every element-wise operation performs the
+    identical IEEE arithmetic in the identical order as
+    :func:`evaluate_plan`, and each request's winner is the first
+    permutation (in ``itertools.permutations`` order) attaining the
+    lexicographic minimum of ``(total_xdt, finish_time)`` — exactly the
+    plan the scalar scan keeps.  Requests are walked in chunks of at most
+    :data:`KERNEL_ROW_BUDGET` rows.
+
+    Returns ``(winner, total_xdt, finish_time)``, one entry per request;
+    ``winner`` is a row of the shape's permutation matrix, which
+    :meth:`PlanningTable.route_plan` turns into the :class:`RoutePlan`.  The
+    property tests compare the result with the scalar scan per request.
+    """
+    num_new, num_onboard = requests[0].shape
+    perms = _valid_permutations(num_new, num_onboard)          # (P, S)
+    count, size = len(requests), 2 * num_new + num_onboard
+    winner = np.zeros(count, dtype=np.intp)
+    best_xdt = np.zeros(count, dtype=np.float64)
+    best_finish = np.array([r.start_time for r in requests], dtype=np.float64)
     if size == 0:
-        return RoutePlan((), start_node, start_time,
-                         PlanEvaluation(0.0, {}, {}, 0.0, 0.0, start_time))
+        return winner, best_xdt, best_finish
 
-    perms = _valid_permutations(len(new_orders), len(onboard_orders))
-    # Per-stop attribute vectors (indexed by base stop position).
-    stop_nodes = np.array([node_index[stop.node] for stop in stops], dtype=np.int64)
-    is_pickup = np.array([stop.is_pickup for stop in stops], dtype=bool)
-    ready = np.array([stop.order.ready_at for stop in stops], dtype=np.float64)
-    placed = np.array([stop.order.placed_at for stop in stops], dtype=np.float64)
-    sdt = np.array([sdt_lookup(stop.order) for stop in stops], dtype=np.float64)
+    slot, index = table.slot, table.index
+    order_of_stop = np.empty((count, size), dtype=np.intp)
+    order_of_stop[:, 0:2 * num_new:2] = order_of_stop[:, 1:2 * num_new:2] = np.array(
+        [[slot[o.order_id] for o in r.new_orders] for r in requests],
+        dtype=np.intp).reshape(count, num_new)
+    order_of_stop[:, 2 * num_new:] = np.array(
+        [[slot[o.order_id] for o in r.onboard_orders] for r in requests],
+        dtype=np.intp).reshape(count, num_onboard)
+    is_pickup = np.zeros(size, dtype=bool)
+    is_pickup[0:2 * num_new:2] = True
+    # Per-stop attributes in base layout, (R, S).
+    nodes = np.where(is_pickup, table.pickup_node[order_of_stop],
+                     table.dropoff_node[order_of_stop])
+    ready = table.ready[order_of_stop]
+    placed = table.placed[order_of_stop]
+    sdt = table.sdt[order_of_stop]
+    start = np.array([index[r.start_node] for r in requests], dtype=np.intp)
+    static, multipliers = table.static, table.multipliers
 
-    nodes_by_pos = stop_nodes[perms]                       # (P, S)
-    prev_by_pos = np.empty_like(nodes_by_pos)
-    prev_by_pos[:, 0] = node_index[start_node]
-    prev_by_pos[:, 1:] = nodes_by_pos[:, :-1]
+    step = max(1, KERNEL_ROW_BUDGET // len(perms))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        clock = np.repeat(best_finish[lo:hi, None], len(perms), axis=1)   # (r, P)
+        total_xdt = np.zeros_like(clock)
+        here = start[lo:hi, None]
+        for pos in range(size):
+            stop = perms[:, pos]
+            prev, here = here, nodes[lo:hi, stop]
+            leg = static[prev, here]
+            # Slot multiplier of each row's current clock (finite clocks
+            # only; rows that already hit an unreachable leg stay at infinity
+            # and are forced to the scalar sentinel below).
+            finite = np.isfinite(clock)
+            slots = (np.where(finite, clock, 0.0) // 3600.0).astype(np.int64) % 24
+            clock = clock + leg * multipliers[slots]
+            pickups = is_pickup[stop]
+            ready_here = ready[lo:hi, stop]
+            waits = pickups & (clock < ready_here)
+            clock = np.where(waits, ready_here, clock)
+            # inf - inf (an unreachable row against an unreachable order's SDT)
+            # is NaN on a row the sentinel below overwrites anyway.
+            with np.errstate(invalid="ignore"):
+                xdt_here = np.maximum(
+                    0.0, (clock - placed[lo:hi, stop]) - sdt[lo:hi, stop])
+            total_xdt = total_xdt + np.where(pickups, 0.0, xdt_here)
+        invalid = ~np.isfinite(clock)
+        if invalid.any():
+            # The scalar evaluation short-circuits an unreachable leg to an
+            # all-infinite evaluation regardless of the XDT accumulated so far.
+            total_xdt = np.where(invalid, INFINITY, total_xdt)
+            clock = np.where(invalid, INFINITY, clock)
+        # First permutation attaining the lexicographic minimum of (xdt,
+        # finish): identical to the scalar scan's keep-first-strictly-smaller
+        # rule (argmax returns the first True of a row).
+        xdt_min = total_xdt.min(axis=1)
+        contenders = total_xdt == xdt_min[:, None]
+        finish_min = np.where(contenders, clock, INFINITY).min(axis=1)
+        winner[lo:hi] = (contenders & (clock == finish_min[:, None])).argmax(axis=1)
+        best_xdt[lo:hi] = xdt_min
+        best_finish[lo:hi] = finish_min
+    return winner, best_xdt, best_finish
 
-    count = len(perms)
-    clock = np.full(count, start_time, dtype=np.float64)
-    total_xdt = np.zeros(count, dtype=np.float64)
-    for pos in range(size):
-        stop_idx = perms[:, pos]
-        leg = static[prev_by_pos[:, pos], nodes_by_pos[:, pos]]
-        # Slot multiplier of each permutation's current clock (finite clocks
-        # only; rows that already hit an unreachable leg stay at infinity and
-        # are forced to the scalar sentinel below).
-        finite = np.isfinite(clock)
-        slots = (np.where(finite, clock, 0.0) // 3600.0).astype(np.int64) % 24
-        clock = clock + leg * multipliers[slots]
-        pickups = is_pickup[stop_idx]
-        ready_here = ready[stop_idx]
-        waits = pickups & (clock < ready_here)
-        clock = np.where(waits, ready_here, clock)
-        xdt_here = np.maximum(0.0, (clock - placed[stop_idx]) - sdt[stop_idx])
-        total_xdt = total_xdt + np.where(pickups, 0.0, xdt_here)
-    invalid = ~np.isfinite(clock)
-    if invalid.any():
-        # The scalar evaluation short-circuits an unreachable leg to an
-        # all-infinite evaluation regardless of the XDT accumulated so far.
-        total_xdt = np.where(invalid, INFINITY, total_xdt)
-        clock = np.where(invalid, INFINITY, clock)
-    # First permutation attaining the lexicographic minimum of (xdt, finish):
-    # identical to the scalar scan's keep-first-strictly-smaller rule.
-    best_xdt = total_xdt.min()
-    contenders = total_xdt == best_xdt
-    best_finish = clock[contenders].min()
-    winner = int(np.flatnonzero(contenders & (clock == best_finish))[0])
-    best_stops = tuple(stops[i] for i in perms[winner])
-    return finish_plan(best_stops)
+
+def scan_route_plan(request: PlanRequest, distance, sdt_lookup) -> RoutePlan:
+    """:func:`best_route_plan` for one small request, on the cached patterns.
+
+    Same scan, same :func:`evaluate_plan`, same keep-first-strictly-smaller
+    rule; only the enumeration differs — the valid index patterns are cached
+    per shape instead of filtered out of ``itertools.permutations`` per call.
+    """
+    base = _base_stops(request.new_orders, request.onboard_orders)
+    best_stops: tuple[RouteStop, ...] = ()
+    best_eval: PlanEvaluation | None = None
+    for perm in _valid_permutations(*request.shape).tolist():
+        stops = tuple(base[i] for i in perm)
+        evaluation = evaluate_plan(stops, request.start_node, request.start_time,
+                                   distance, sdt_lookup)
+        if best_eval is None or (evaluation.total_xdt, evaluation.finish_time) < (
+                best_eval.total_xdt, best_eval.finish_time):
+            best_stops, best_eval = stops, evaluation
+    return RoutePlan(best_stops, request.start_node, request.start_time, best_eval)
 
 
 def insertion_route_plan(new_orders: Sequence[Order], start_node: int, start_time: float,
@@ -384,6 +541,12 @@ __all__ = [
     "enumerate_route_plans",
     "evaluate_plan",
     "best_route_plan",
+    "PlanRequest",
+    "PlanningTable",
     "best_route_plan_vectorized",
+    "scan_route_plan",
+    "permutation_rows",
+    "KERNEL_ROW_BUDGET",
+    "SCALAR_SCAN_ROWS",
     "insertion_route_plan",
 ]

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.core.policy import Assignment, AssignmentPolicy
@@ -217,6 +217,7 @@ class Simulator:
         self._finalized = False
         self._next_window_start = self.config.start
         self._cache_info_before: dict[str, dict[str, int]] | None = None
+        self._plan_calls_before = 0
         self._counters_before: dict[str, int] | None = None
 
     # ------------------------------------------------------------------ #
@@ -402,6 +403,8 @@ class Simulator:
             omega=cfg.omega,
             simulated_seconds=cfg.end - cfg.start,
             cache_stats=cache_stats,
+            route_plans=(self._cost_counters()["route_plans"]
+                         - self._plan_calls_before),
             telemetry=telemetry,
             resilience=(self.resilience.snapshot()
                         if self.resilience is not None else None),
@@ -413,6 +416,7 @@ class Simulator:
             return
         self._started = True
         self._cache_info_before = self.cost_model.oracle.cache_info()
+        self._plan_calls_before = self._cost_counters()["route_plans"]
         self._counters_before = ((self._oracle_counters() | self._cost_counters())
                                  if self._tracer.enabled else None)
 
@@ -425,7 +429,11 @@ class Simulator:
 
     def _cost_counters(self) -> dict[str, int]:
         """Cumulative cost-model work counters (snapshotted like the caches)."""
-        return {"route_plans": getattr(self.cost_model, "plan_calls", 0)}
+        counters = {"route_plans": getattr(self.cost_model, "plan_calls", 0)}
+        effort = getattr(self.cost_model, "search_stats", None)
+        if effort is not None:
+            counters.update(asdict(effort))
+        return counters
 
     def _collect_telemetry(self, counters_before: dict[str, int],
                            cache_stats: dict[str, dict[str, int]]) -> Telemetry:

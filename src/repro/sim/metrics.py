@@ -123,6 +123,10 @@ class SimulationResult:
     #: :meth:`DistanceOracle.cache_info
     #: <repro.network.distance_oracle.DistanceOracle.cache_info>`
     cache_stats: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: route plans the cost model searched over this run only (counter delta,
+    #: like ``cache_stats``): the machine-independent measure of decision
+    #: work the sensitivity figures assert their running-time shape on
+    route_plans: int = 0
     #: per-phase latency profile, span records and folded counters captured
     #: when observability is enabled (``--obs summary|trace``); ``None`` on
     #: default runs — see :class:`repro.obs.telemetry.Telemetry`
@@ -253,6 +257,10 @@ class SimulationResult:
     def total_decision_seconds(self) -> float:
         return sum(w.decision_seconds for w in self.windows)
 
+    def route_plans_per_window(self) -> float:
+        """Mean route plans searched per accumulation window (exact work)."""
+        return self.route_plans / len(self.windows) if self.windows else 0.0
+
     # ------------------------------------------------------------------ #
     # per-timeslot breakdowns (Figs. 6(i)-(k))
     # ------------------------------------------------------------------ #
@@ -307,6 +315,7 @@ class SimulationResult:
             "waiting_hours_per_day": self.waiting_hours_per_day(),
             "overflow_pct": self.overflow_percentage(),
             "mean_decision_seconds": self.mean_decision_seconds(),
+            "route_plans_per_window": self.route_plans_per_window(),
             "total_distance_km": self.total_distance_km(),
             "driver_declines": float(self.total_declined_offers()),
             "fleet_handoffs": float(self.total_handoffs()),

@@ -1,0 +1,299 @@
+"""Bulk planning must be the per-pair pipeline, decision for decision.
+
+Three equivalences and one lifetime guarantee:
+
+* the round-based :func:`build_sparsified_foodgraph` evaluates exactly the
+  pairs the sequential ``vectorized=False`` loop does — same edges in the
+  same insertion order, same ``cost_evaluations`` and ``nodes_expanded`` —
+  also when refusals force a vehicle through a second round;
+* :func:`cluster_orders`, which weighs all of a batch's merges in one bulk
+  search, performs the merges of the one-``merge_cost``-per-pair loop it
+  replaced (kept below as the reference);
+* the window's planning table is gone once ``assign`` returns or raises,
+  and a plan requested after a traffic update reads post-update distances;
+* no explorer of a FoodGraph build survives it.
+"""
+
+import gc
+import heapq
+import itertools
+import random
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import foodgraph as foodgraph_module
+from repro.core.batching import BatchingConfig, cluster_orders
+from repro.core.foodgraph import build_sparsified_foodgraph
+from repro.core.foodmatch import FoodMatchConfig, FoodMatchPolicy
+from repro.core.km_baseline import KMPolicy
+from repro.network.distance_oracle import DistanceOracle
+from repro.network.generators import random_geometric_city
+from repro.network.graph import TimeProfile
+from repro.orders.costs import CostModel
+from repro.orders.order import Order
+from repro.orders.vehicle import Vehicle
+
+NOW = 45_000.0
+
+
+def _oracle(seed: int) -> DistanceOracle:
+    network = random_geometric_city(num_nodes=40, seed=seed)
+    network.profile = TimeProfile.urban_peaks()
+    return DistanceOracle(network, method="hub_label")
+
+
+def _orders(rng: random.Random, nodes, count: int, base_id: int):
+    return [Order(order_id=base_id + i,
+                  restaurant_node=rng.choice(nodes),
+                  customer_node=rng.choice(nodes),
+                  placed_at=NOW - rng.uniform(0.0, 900.0),
+                  items=1 + rng.randrange(4),
+                  prep_time=rng.uniform(120.0, 900.0))
+            for i in range(count)]
+
+
+def _loaded_vehicles(rng: random.Random, nodes, model: CostModel, count: int):
+    """Vehicles carrying 0-2 orders (some on board): MAXO/MAXI refusals happen."""
+    vehicles = []
+    for v in range(count):
+        vehicle = Vehicle(vehicle_id=v, node=rng.choice(nodes))
+        carried = _orders(rng, nodes, rng.randrange(0, 3), base_id=1000 + 10 * v)
+        if carried:
+            vehicle.assign(carried, model.plan_for_vehicle(vehicle, carried, NOW))
+            if rng.random() < 0.5:
+                vehicle.mark_picked_up(carried[0].order_id)
+        vehicles.append(vehicle)
+    return vehicles
+
+
+def _edges_in_order(graph):
+    """Edges as inserted: key, weight and the plan's stops and evaluation."""
+    out = []
+    for (b_idx, v_idx), (weight, _) in graph.edges.items():
+        plan = graph.plan(b_idx, v_idx)
+        out.append(((b_idx, v_idx), weight, plan.stops, plan.evaluation))
+    return out
+
+
+# --------------------------------------------------------------------------- #
+# (b) optimistic rounds vs the sequential loop
+# --------------------------------------------------------------------------- #
+def _build_both(seed: int):
+    rng = random.Random(seed)
+    oracle = _oracle(seed % 5)
+    nodes = oracle.network.nodes
+    model = CostModel(oracle)
+    pool = _orders(rng, nodes, rng.randrange(4, 12), base_id=0)
+    batches = model.make_batches(
+        [pool[i:i + size] for i, size in zip(
+            range(0, len(pool), 2), itertools.cycle((1, 2)), strict=False)], NOW)
+    vehicles = _loaded_vehicles(rng, nodes, model, rng.randrange(2, 7))
+    options = dict(
+        k=rng.choice((1, 2, 3)),
+        # Ω cut-offs are only known once a pair is planned: together with the
+        # capacity refusals they are what sends a vehicle into a second round.
+        omega=rng.choice((400.0, 1500.0, 7200.0)),
+        max_first_mile=rng.choice((300.0, 900.0, 2700.0)),
+        use_angular=rng.random() < 0.5,
+        max_expansions=rng.choice((None, 25)))
+    fast = build_sparsified_foodgraph(batches, vehicles, model, NOW,
+                                      vectorized=True, **options)
+    slow = build_sparsified_foodgraph(batches, vehicles, CostModel(oracle, vectorized=False),
+                                      NOW, vectorized=False, **options)
+    return fast, slow
+
+
+class TestOptimisticRounds:
+    @given(seed=st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=60, deadline=None)
+    def test_same_graph_as_the_sequential_loop(self, seed):
+        fast, slow = _build_both(seed)
+        assert _edges_in_order(fast) == _edges_in_order(slow)
+        assert fast.cost_evaluations == slow.cost_evaluations
+        assert fast.nodes_expanded == slow.nodes_expanded
+        for v_idx in range(len(fast.vehicles)):
+            assert fast.vehicle_degree(v_idx) == slow.vehicle_degree(v_idx)
+
+    def test_refusals_really_force_second_rounds(self):
+        # The property above is only worth its name if some of its examples
+        # go past round one.
+        rounds = [_build_both(seed)[0].rounds for seed in range(40)]
+        assert max(rounds) >= 3
+        assert sum(r >= 2 for r in rounds) >= 10
+
+    def test_no_explorer_survives_the_build(self, monkeypatch):
+        born = []
+
+        class Tracked(foodgraph_module.VehicleSensitiveExplorer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                born.append(weakref.ref(self))
+
+        monkeypatch.setattr(foodgraph_module, "VehicleSensitiveExplorer", Tracked)
+        rng = random.Random(3)
+        oracle = _oracle(3)
+        nodes = oracle.network.nodes
+        model = CostModel(oracle)
+        batches = model.make_batches([[o] for o in _orders(rng, nodes, 8, 0)], NOW)
+        vehicles = _loaded_vehicles(rng, nodes, model, 6)
+        gc.disable()  # reference counting alone must free them
+        try:
+            graph = build_sparsified_foodgraph(batches, vehicles, model, NOW, k=2,
+                                               use_angular=True)
+            assert born and graph.edge_count
+            assert all(ref() is None for ref in born)
+        finally:
+            gc.enable()
+
+
+# --------------------------------------------------------------------------- #
+# (c) bulk clustering vs one merge_cost per pair
+# --------------------------------------------------------------------------- #
+def _cluster_per_pair(orders, model: CostModel, now: float, config: BatchingConfig):
+    """Alg. 1 as it ran before bulk planning: the reference loop."""
+    batches = {idx: model.make_batch([order], now) for idx, order in enumerate(orders)}
+
+    def average():
+        return sum(b.cost for b in batches.values()) / len(batches)
+
+    trace = [average()]
+    counter = itertools.count()
+    heap = []
+
+    def push_edges(key, others):
+        batch = batches[key]
+        for other_key in others:
+            other = batches.get(other_key)
+            if other is None or other_key == key:
+                continue
+            if (batch.size + other.size > config.max_orders
+                    or batch.items + other.items > config.max_items):
+                continue
+            if config.max_pair_distance is not None and model.oracle.distance(
+                    batch.first_pickup_node, other.first_pickup_node,
+                    now) > config.max_pair_distance:
+                continue
+            weight, merged = model.merge_cost(batch, other, now)
+            heapq.heappush(heap, (weight, next(counter), key, other_key, merged))
+
+    keys = list(batches)
+    for pos, key in enumerate(keys):
+        push_edges(key, keys[pos + 1:])
+    next_key = len(batches)
+    while heap and average() <= config.eta:
+        _, _, key_i, key_j, merged = heapq.heappop(heap)
+        if key_i not in batches or key_j not in batches:
+            continue
+        del batches[key_i], batches[key_j]
+        batches[next_key] = merged
+        trace.append(average())
+        push_edges(next_key, list(batches))
+        next_key += 1
+    return list(batches.values()), trace
+
+
+class TestBulkClustering:
+    @given(seed=st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=40, deadline=None)
+    def test_same_merges_as_the_per_pair_loop(self, seed):
+        rng = random.Random(seed)
+        oracle = _oracle(seed % 5)
+        nodes = oracle.network.nodes[:rng.choice((6, 40))]
+        orders = _orders(rng, nodes, rng.randrange(2, 14), base_id=0)
+        config = BatchingConfig(eta=rng.choice((30.0, 120.0, 600.0)),
+                                max_orders=rng.choice((2, 3, 4)),
+                                max_items=rng.choice((4, 10)),
+                                max_pair_distance=rng.choice((None, 400.0)))
+        batches, stats = cluster_orders(orders, CostModel(oracle), NOW, config)
+        expected, trace = _cluster_per_pair(
+            orders, CostModel(oracle, vectorized=False), NOW, config)
+        assert [b.order_ids for b in batches] == [b.order_ids for b in expected]
+        assert [(b.plan.stops, b.plan.evaluation) for b in batches] == [
+            (b.plan.stops, b.plan.evaluation) for b in expected]
+        assert stats.avg_cost_trace == trace
+        assert stats.merges == len(trace) - 1
+
+
+# --------------------------------------------------------------------------- #
+# (d) the planning table's lifetime
+# --------------------------------------------------------------------------- #
+def _window(seed: int = 11):
+    rng = random.Random(seed)
+    oracle = _oracle(seed % 5)
+    nodes = oracle.network.nodes
+    model = CostModel(oracle)
+    return (oracle, model, _orders(rng, nodes, 9, base_id=0),
+            _loaded_vehicles(rng, nodes, model, 5))
+
+
+@pytest.mark.parametrize("make_policy", [
+    lambda model: FoodMatchPolicy(model),
+    lambda model: FoodMatchPolicy(model, FoodMatchConfig(use_bfs=False,
+                                                         use_batching=False)),
+    lambda model: KMPolicy(model),
+])
+class TestPlanningTableLifetime:
+    def test_table_lives_exactly_as_long_as_assign(self, monkeypatch, make_policy):
+        _, model, orders, vehicles = _window()
+        seen = []
+        solve = foodgraph_module.solve_matching
+
+        def spy(graph):
+            seen.append(weakref.ref(model._table))
+            return solve(graph)
+
+        for module in ("repro.core.foodmatch", "repro.core.km_baseline"):
+            monkeypatch.setattr(f"{module}.solve_matching", spy)
+        policy = make_policy(model)
+        gc.disable()
+        try:
+            assignments = policy.assign(orders, vehicles, NOW)
+            assert assignments and seen
+            assert model._table is None and model._base_costs is None
+            assert seen[0]() is None, "something kept the planning table alive"
+        finally:
+            gc.enable()
+
+    def test_table_is_dropped_when_assign_raises(self, monkeypatch, make_policy):
+        _, model, orders, vehicles = _window()
+
+        def boom(*args, **kwargs):
+            assert model._table is not None
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(CostModel, "marginal_costs", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            make_policy(model).assign(orders, vehicles, NOW)
+        assert model._table is None and model._base_costs is None
+
+    def test_plans_after_a_traffic_update_read_updated_distances(self, make_policy):
+        oracle, model, orders, vehicles = _window()
+        reference = CostModel(oracle, vectorized=False)
+        before = make_policy(model).assign(orders, vehicles, NOW)
+        # (Both models memoise SDTs for good at first sight: let the
+        # reference see the orders before the update as well.)
+        make_policy(reference).assign(orders, vehicles, NOW)
+        try:
+            # Slow every road out of the busiest pick-up node tenfold.
+            hub = orders[0].restaurant_node
+            stats = oracle.apply_traffic_updates(
+                {(hub, v): 10.0 for v, _ in oracle.network.neighbors(hub)})
+            assert stats.mutated_edges
+            after = make_policy(model).assign(orders, vehicles, NOW)
+            expected = make_policy(reference).assign(orders, vehicles, NOW)
+            assert [(a.vehicle.vehicle_id, a.orders, a.weight, a.plan.evaluation)
+                    for a in after] == [
+                (a.vehicle.vehicle_id, a.orders, a.weight, a.plan.evaluation)
+                for a in expected]
+            assert [a.plan.evaluation for a in after] != [
+                a.plan.evaluation for a in before]
+            weight, plan = model.marginal_cost([orders[0]], vehicles[0], NOW)
+            expected_weight, expected_plan = reference.marginal_cost(
+                [orders[0]], vehicles[0], NOW)
+            assert (weight, plan.evaluation) == (expected_weight,
+                                                 expected_plan.evaluation)
+        finally:
+            oracle.reset_traffic_state()

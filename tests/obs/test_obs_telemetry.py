@@ -41,10 +41,10 @@ ENGINE_PHASES = {"engine.window", "engine.advance", "engine.ingest",
                  "engine.decide", "engine.apply", "engine.drain"}
 
 
-def _run(mode: str, traffic: str = "none", seed: int = 7):
+def _run(mode: str, traffic: str = "none", seed: int = 7, scale: float = 0.08):
     obs.set_mode(mode)
     try:
-        profile = CITY_PROFILES["CityA"].scaled(0.08)
+        profile = CITY_PROFILES["CityA"].scaled(scale)
         scenario = generate_scenario(profile, seed=seed, start_hour=12,
                                      end_hour=13, traffic=traffic)
         oracle = DistanceOracle(scenario.network)
@@ -137,13 +137,39 @@ class TestTraceMode:
                     stats["total_seconds"])
 
     def test_route_plan_histogram_is_trace_mode_only(self):
-        # Per-call route-planner latency sampling costs two clock reads per
-        # candidate edge, so summary mode only counts invocations.
-        summary = _run("summary").telemetry
-        trace = _run("trace").telemetry
+        # Route plans are searched in bulk: summary mode counts plans and
+        # kernel passes, trace mode adds one latency sample per kernel pass
+        # (one pass covers every same-shape request of a bulk call).
+        # (At the default scale every window is small enough for the Python
+        # scan and the kernel never runs.)
+        summary = _run("summary", scale=0.4).telemetry
+        trace = _run("trace", scale=0.4).telemetry
         assert "cost.route_plan" not in summary.phase_stats
+        assert summary.counters["cost.kernel_passes"] > 0
         assert trace.phase_stats["cost.route_plan"]["count"] == \
+            trace.counters["cost.kernel_passes"]
+        assert trace.counters["cost.kernel_passes"] < \
             trace.counters["cost.route_plans"]
+        assert trace.counters == summary.counters
+
+    def test_planning_spans_and_search_effort(self):
+        # The planning phases are a handful of passes per window, so they
+        # get child spans in summary mode, and every window leaves one
+        # sample of each search-effort counter.
+        telemetry = _run("summary", scale=0.4).telemetry
+        stats = telemetry.phase_stats
+        assert {"batching.plan", "foodgraph.explore", "foodgraph.plan"} <= set(stats)
+        assert stats["foodgraph.plan"]["total_seconds"] <= \
+            stats["policy.foodgraph"]["total_seconds"]
+        assert stats["batching.plan"]["total_seconds"] <= \
+            stats["policy.batching"]["total_seconds"]
+        windows = stats["policy.foodgraph"]["count"]
+        for name in ("kernel_passes", "kernel_rows", "base_plans_reused",
+                     "foodgraph_rounds"):
+            assert telemetry.histograms[f"search.{name}"]["count"] == windows
+        assert telemetry.histograms["search.kernel_passes"]["sum"] == \
+            telemetry.counters["cost.kernel_passes"]
+        assert telemetry.histograms["search.foodgraph_rounds"]["min"] >= 1
 
 
 class TestExecutorMerge:

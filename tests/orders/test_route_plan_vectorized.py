@@ -1,13 +1,17 @@
-"""Equivalence tests: array route-plan search vs the scalar permutation scan.
+"""Equivalence tests: bulk route-plan search vs the scalar permutation scan.
 
-:func:`~repro.orders.route_plan.best_route_plan_vectorized` must return the
-exact plan :func:`~repro.orders.route_plan.best_route_plan` returns — the
-same stop sequence (including enumeration-order tie-breaking) and a
-bit-identical evaluation — over random order sets, onboard orders and
-congestion profiles.
+:func:`~repro.orders.route_plan.best_route_plan_vectorized` must pick, for
+every request of a same-shape list, the exact plan
+:func:`~repro.orders.route_plan.best_route_plan` returns — the same stop
+sequence (including enumeration-order tie-breaking) and a bit-identical
+evaluation — over random order sets, onboard orders and congestion
+profiles; and :class:`~repro.orders.costs.CostModel`, which groups mixed
+lists by shape and scans the small ones in Python, must do so whatever mix
+it is handed.
 """
 
 import functools
+import math
 import random
 
 from hypothesis import given, settings
@@ -16,15 +20,29 @@ from hypothesis import strategies as st
 from repro.network.distance_oracle import DistanceOracle
 from repro.network.generators import random_geometric_city
 from repro.network.graph import TimeProfile
+from repro.orders import route_plan
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
-from repro.orders.route_plan import best_route_plan, best_route_plan_vectorized
+from repro.orders.vehicle import Vehicle
+from repro.orders.route_plan import (
+    PlanningTable,
+    PlanRequest,
+    best_route_plan,
+    best_route_plan_vectorized,
+    permutation_rows,
+    scan_route_plan,
+)
+
+#: A node nothing leads to and that leads nowhere: every leg touching it is
+#: unreachable.
+ISLAND = 9_999
 
 
 @functools.cache
 def _oracle(seed: int) -> DistanceOracle:
     network = random_geometric_city(num_nodes=40, seed=seed)
     network.profile = TimeProfile.urban_peaks()
+    network.add_node(ISLAND, 0.0, 0.0)
     return DistanceOracle(network)
 
 
@@ -38,49 +56,145 @@ def _orders(rng: random.Random, nodes, count: int, base_id: int = 0):
             for i in range(count)]
 
 
+def _requests(rng: random.Random, nodes, count: int) -> list[PlanRequest]:
+    """Mixed shapes, 0-8 stops: onboard-only plans, repeated nodes, ties, islands."""
+    requests = []
+    for r in range(count):
+        pool = nodes
+        kind = rng.randrange(6)
+        if kind == 0:
+            pool = nodes[:3]                     # few nodes: repeated stops
+        elif kind == 1:
+            pool = [rng.choice(nodes)]           # one node: every permutation ties
+        elif kind == 2:
+            pool = nodes + [ISLAND] * 8          # likely an unreachable leg
+        num_new = rng.randrange(0, 5)
+        num_onboard = rng.randrange(0, 9 - 2 * num_new) if rng.random() < 0.7 else 0
+        new = _orders(rng, pool, num_new, base_id=100 * r)
+        onboard = _orders(rng, pool, min(num_onboard, 4), base_id=100 * r + 50)
+        if kind == 1:
+            # Identical timings on one node: exact (total_xdt, finish) ties.
+            new = [Order(o.order_id, o.restaurant_node, o.customer_node,
+                         placed_at=1000.0, prep_time=300.0) for o in new]
+        requests.append(PlanRequest(tuple(new), rng.choice(pool),
+                                    rng.uniform(0.0, 80_000.0), tuple(onboard)))
+    return requests
+
+
+def _assert_same_plan(fast, scalar):
+    assert fast.stops == scalar.stops
+    assert fast.start_node == scalar.start_node
+    assert fast.start_time == scalar.start_time
+    assert fast.evaluation.total_xdt == scalar.evaluation.total_xdt
+    assert fast.evaluation.finish_time == scalar.evaluation.finish_time
+    assert fast.evaluation.waiting_time == scalar.evaluation.waiting_time
+    assert fast.evaluation.travel_time == scalar.evaluation.travel_time
+    assert fast.evaluation.delivery_times == scalar.evaluation.delivery_times
+    assert fast.evaluation.pickup_times == scalar.evaluation.pickup_times
+
+
+def _reference(request: PlanRequest, oracle, sdt_lookup):
+    return best_route_plan(request.new_orders, request.start_node,
+                           request.start_time, oracle.distance, sdt_lookup,
+                           onboard_orders=request.onboard_orders)
+
+
 class TestVectorizedRoutePlan:
     @given(seed=st.integers(min_value=0, max_value=4_000))
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_scan(self, seed):
         rng = random.Random(seed)
         oracle = _oracle(seed % 4)
-        nodes = oracle.network.nodes
-        new_orders = _orders(rng, nodes, rng.randrange(0, 4))
-        onboard = _orders(rng, nodes, rng.randrange(0, 3), base_id=100)
-        start_node = rng.choice(nodes)
-        start_time = rng.uniform(0.0, 80_000.0)
+        nodes = [node for node in oracle.network.nodes if node != ISLAND]
+        requests = _requests(rng, nodes, rng.randrange(1, 12))
         sdt = {order.order_id: rng.uniform(300.0, 3000.0)
-               for order in new_orders + onboard}
+               for r in requests for order in r.new_orders + r.onboard_orders}
 
-        scalar = best_route_plan(new_orders, start_node, start_time,
-                                 oracle.distance,
-                                 lambda order: sdt[order.order_id],
-                                 onboard_orders=onboard)
-        fast = best_route_plan_vectorized(new_orders, start_node, start_time,
-                                          oracle,
-                                          lambda order: sdt[order.order_id],
-                                          onboard_orders=onboard)
-        assert fast.stops == scalar.stops
-        assert fast.evaluation.total_xdt == scalar.evaluation.total_xdt
-        assert fast.evaluation.finish_time == scalar.evaluation.finish_time
-        assert fast.evaluation.waiting_time == scalar.evaluation.waiting_time
-        assert fast.evaluation.travel_time == scalar.evaluation.travel_time
-        assert fast.evaluation.delivery_times == scalar.evaluation.delivery_times
-        assert fast.evaluation.pickup_times == scalar.evaluation.pickup_times
+        def sdt_lookup(order):
+            return sdt[order.order_id]
 
-    def test_cost_model_routes_large_plans_through_kernel(self):
-        # The auto planner keeps tiny plans scalar (kernel setup would
-        # dominate) and both paths must agree wherever they meet.
-        rng = random.Random(9)
-        oracle = _oracle(1)
+        table = PlanningTable(
+            oracle, (o for r in requests for o in r.new_orders + r.onboard_orders),
+            (r.start_node for r in requests), sdt_lookup)
+        by_shape: dict[tuple[int, int], list[PlanRequest]] = {}
+        for request in requests:
+            by_shape.setdefault(request.shape, []).append(request)
+        for group in by_shape.values():
+            winner, cost, finish = best_route_plan_vectorized(group, table)
+            for request, w, c, f in zip(group, winner.tolist(), cost.tolist(),
+                                        finish.tolist(), strict=True):
+                scalar = _reference(request, oracle, sdt_lookup)
+                assert (c, f) == (scalar.evaluation.total_xdt,
+                                  scalar.evaluation.finish_time)
+                _assert_same_plan(table.route_plan(request, w), scalar)
+
+    def test_unreachable_leg_is_infinite_and_keeps_the_first_permutation(self):
+        oracle = _oracle(0)
         nodes = oracle.network.nodes
+        orders = (Order(1, nodes[0], ISLAND, placed_at=0.0),
+                  Order(2, nodes[1], nodes[2], placed_at=0.0))
+        request = PlanRequest(orders, nodes[3], 500.0)
+        table = PlanningTable(oracle, orders, [nodes[3]], lambda order: 600.0)
+        winner, cost, finish = best_route_plan_vectorized([request], table)
+        assert (winner[0], cost[0], finish[0]) == (0, math.inf, math.inf)
+        _assert_same_plan(table.route_plan(request, 0),
+                          _reference(request, oracle, lambda order: 600.0))
+
+    def test_list_crossing_the_row_chunk_boundary(self):
+        rng = random.Random(5)
+        oracle = _oracle(2)
+        nodes = [node for node in oracle.network.nodes if node != ISLAND]
+        requests = [PlanRequest(tuple(_orders(rng, nodes, 2, base_id=10 * i)),
+                                rng.choice(nodes), 40_000.0 + i,
+                                tuple(_orders(rng, nodes, 1, base_id=10 * i + 5)))
+                    for i in range(1200)]
+        rows = permutation_rows((2, 1)) * len(requests)
+        assert rows > 2 * route_plan.KERNEL_ROW_BUDGET, "list no longer spans chunks"
+        model = CostModel(oracle)
+        table = PlanningTable(
+            oracle, (o for r in requests for o in r.new_orders + r.onboard_orders),
+            (r.start_node for r in requests), model.sdt)
+        winner, _, _ = best_route_plan_vectorized(requests, table)
+        for request, w in zip(requests[::37], winner.tolist()[::37], strict=True):
+            _assert_same_plan(table.route_plan(request, w),
+                              _reference(request, oracle, model.sdt))
+
+    @given(seed=st.integers(min_value=0, max_value=4_000))
+    @settings(max_examples=60, deadline=None)
+    def test_small_scan_matches_scalar_scan(self, seed):
+        rng = random.Random(seed)
+        oracle = _oracle(seed % 4)
+        nodes = [node for node in oracle.network.nodes if node != ISLAND]
+        request, = _requests(rng, nodes, 1)
+        model = CostModel(oracle)
+        _assert_same_plan(scan_route_plan(request, oracle.distance, model.sdt),
+                          _reference(request, oracle, model.sdt))
+
+    @given(seed=st.integers(min_value=0, max_value=4_000))
+    @settings(max_examples=40, deadline=None)
+    def test_cost_model_routes_large_plans_through_kernel(self, seed):
+        # Whatever the mix — one tiny request (Python scan), many (kernel,
+        # one pass per shape), in or out of a planning scope — the model
+        # answers what the scalar reference model answers.
+        rng = random.Random(seed)
+        oracle = _oracle(seed % 4)
+        nodes = [node for node in oracle.network.nodes if node != ISLAND]
+        requests = _requests(rng, nodes, rng.choice((1, 2, 9)))
         vec_model = CostModel(oracle, vectorized=True)
         ref_model = CostModel(oracle, vectorized=False)
-        for count in (1, 2, 3):
-            orders = _orders(rng, nodes, count)
-            vec_plan = vec_model._plan(orders, nodes[0], 1000.0)
-            ref_plan = ref_model._plan(orders, nodes[0], 1000.0)
-            assert vec_plan.stops == ref_plan.stops
-            assert vec_plan.evaluation.total_xdt == ref_plan.evaluation.total_xdt
-            assert (vec_plan.evaluation.finish_time
-                    == ref_plan.evaluation.finish_time)
+        reference = ref_model._search(requests)
+        passes = vec_model.search_stats.kernel_passes
+        searches = [vec_model._search(requests)]
+        with vec_model.planning_scope(
+                (o for r in requests for o in r.new_orders + r.onboard_orders),
+                [Vehicle(vehicle_id=i, node=r.start_node)
+                 for i, r in enumerate(requests)]):
+            searches.append(vec_model._search(requests))
+        for search in searches:
+            for i in range(len(requests)):
+                assert (search.cost[i], search.finish[i]) == (
+                    reference.cost[i], reference.finish[i])
+                _assert_same_plan(search.plan(i), reference.plan(i))
+        shapes = {r.shape for r in requests}
+        if sum(permutation_rows(r.shape) for r in requests) > route_plan.SCALAR_SCAN_ROWS:
+            assert vec_model.search_stats.kernel_passes >= passes + len(shapes)
