@@ -31,7 +31,7 @@ import heapq
 import math
 from collections.abc import Callable, Iterator
 
-from repro.network.geometry import angular_distance
+from repro.network.geometry import angular_distance_from_heading, bearing
 from repro.network.graph import RoadNetwork
 from repro.orders.vehicle import Vehicle
 
@@ -53,21 +53,34 @@ def vehicle_sensitive_weight(network: RoadNetwork, vehicle: Vehicle, now: float,
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     max_beta = network.max_edge_time(now)
-    destination = vehicle.next_destination
     vehicle_coord = network.coord(vehicle.node)
-    dest_coord = network.coord(destination) if destination is not None else None
+    heading = _heading(network, vehicle)
 
     def weight(u: int, u_prime: int) -> float:
         beta = network.edge_time(u, u_prime, now)
         time_term = beta / max_beta if max_beta > 0 else 0.0
-        if dest_coord is None:
+        if heading is None:
             angular_term = 0.0
         else:
-            angular_term = angular_distance(vehicle_coord, dest_coord,
-                                            network.coord(u_prime))
+            angular_term = angular_distance_from_heading(
+                heading, vehicle_coord, network.coord(u_prime))
         return gamma * angular_term + (1.0 - gamma) * time_term
 
     return weight
+
+
+def _heading(network: RoadNetwork, vehicle: Vehicle) -> float | None:
+    """Bearing from the vehicle towards its next destination, computed once
+    per search; ``None`` for a direction-less vehicle (idle, or already at
+    the destination's coordinate), whose angular terms are all zero."""
+    destination = vehicle.next_destination
+    if destination is None:
+        return None
+    vehicle_coord = network.coord(vehicle.node)
+    dest_coord = network.coord(destination)
+    if dest_coord == vehicle_coord:
+        return None
+    return bearing(vehicle_coord, dest_coord)
 
 
 def travel_time_weight(network: RoadNetwork, now: float) -> WeightFunction:
@@ -116,8 +129,9 @@ class VehicleSensitiveExplorer:
       (:func:`blended_time_terms`) and shared across vehicles;
     * the angular term depends only on the edge's *head* node (and the
       vehicle), so it is computed at most once per node — lazily, with the
-      very same scalar :func:`~repro.network.geometry.angular_distance`
-      the reference closure calls, keeping every value bit-identical;
+      very same scalar
+      :func:`~repro.network.geometry.angular_distance_from_heading` the
+      reference closure calls, keeping every value bit-identical;
     * the search itself is the plain heap Dijkstra of the CSR kernels, with
       heap entries ordered by ``(distance, node_id)`` exactly like the
       dict-based reference, so tie-breaking matches too.
@@ -134,8 +148,6 @@ class VehicleSensitiveExplorer:
             time_terms = blended_time_terms(network, now)
         if coords is None:
             coords = [network.coord(node) for node in csr.node_ids]
-        destination = vehicle.next_destination
-        dest_coord = network.coord(destination) if destination is not None else None
         self._settles = [0]
         # One generator frame keeps every hot local bound across all the
         # thousands of per-node resumptions of one search.  The frame holds
@@ -144,7 +156,8 @@ class VehicleSensitiveExplorer:
         # cyclic collector with its per-node lists.
         self._iterator = _blended_best_first(
             csr, csr.index_of[vehicle.node], vehicle.node, gamma, time_terms,
-            coords, network.coord(vehicle.node), dest_coord, self._settles)
+            coords, network.coord(vehicle.node), _heading(network, vehicle),
+            self._settles)
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return self._iterator
@@ -161,7 +174,7 @@ class VehicleSensitiveExplorer:
 
 def _blended_best_first(csr, src: int, source_id: int, gamma: float,
                         time_terms: list[float], coords: list[tuple[float, float]],
-                        vehicle_coord, dest_coord, settles: list[int],
+                        vehicle_coord, heading: float | None, settles: list[int],
                         ) -> Iterator[tuple[int, float]]:
     """The search loop of :class:`VehicleSensitiveExplorer` (``settles[0]`` counts)."""
     indptr = csr.indptr_list
@@ -190,11 +203,11 @@ def _blended_best_first(csr, src: int, source_id: int, gamma: float,
                 continue
             term = angular[head]
             if term is None:
-                if dest_coord is None:
+                if heading is None:
                     term = 0.0
                 else:
-                    term = angular_distance(vehicle_coord, dest_coord,
-                                            coords[head])
+                    term = angular_distance_from_heading(heading, vehicle_coord,
+                                                         coords[head])
                 angular[head] = term
             nd = d + (gamma * term + one_minus_gamma * time_terms[j])
             if nd < dist[head]:

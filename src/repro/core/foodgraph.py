@@ -74,6 +74,10 @@ class FoodGraph:
     #: explore-then-evaluate rounds of the sparsified construction (0 for the
     #: full graph and the sequential reference)
     rounds: int = 0
+    #: best-first searches started by the sparsified construction: one per
+    #: distinct (node, next destination) among the vehicles, so at most one
+    #: per vehicle (0 for the full graph)
+    searches: int = 0
     #: incrementally maintained per-vehicle finite-edge counts (Alg. 2's
     #: stopping rule reads them every expansion step)
     _degree_counts: dict[int, int] = field(default_factory=dict, repr=False)
@@ -248,6 +252,12 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     (:class:`~repro.core.angular.VehicleSensitiveExplorer`) and the
     first-mile values come off the window's planning table.
 
+    **One search per (node, next destination).**  Vehicles that agree on
+    all an explorer reads of them share one search (:class:`_SharedSearch`)
+    and walk its record each at their own pace; the searches, like the
+    planning table, are gone when the call returns.
+    :attr:`FoodGraph.searches` counts them.
+
     ``vectorized=False`` keeps that sequential loop — dict-based reference
     exploration, one :meth:`CostModel.marginal_cost` per pair — as the
     reference the equivalence tests and benchmarks compare against.
@@ -288,6 +298,19 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                   if use_angular else None)
         return BestFirstExplorer(network, vehicle.node, weight=weight, t=now)
 
+    # Vehicles still searching, each on the search of its group; a vehicle's
+    # successful degree is the length of its ``found`` list.
+    searches: dict[object, _SharedSearch] = {}
+    searching: dict[int, _SharedSearch] = {}
+    for v_idx, vehicle in enumerate(graph.vehicles):
+        key = ((vehicle.node, vehicle.next_destination) if use_angular
+               else vehicle.node)
+        search = searches.get(key)
+        if search is None:
+            search = searches[key] = _SharedSearch(explorer_for(vehicle))
+        searching[v_idx] = search
+    graph.searches = len(searches)
+
     tracer = current_tracer()
     with cost_model.planning_scope(
             (order for batch in graph.batches for order in batch.orders),
@@ -296,35 +319,40 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
             [vehicle.node for vehicle in graph.vehicles],
             [batch.first_pickup_node for batch in graph.batches], now)
             <= max_first_mile).tolist()
-        # Explorers of the vehicles still searching; a vehicle's successful
-        # degree is the length of its ``found`` list.
-        searching = {v_idx: explorer_for(vehicle)
-                     for v_idx, vehicle in enumerate(graph.vehicles)}
+        # Per vehicle: how many of its search's start nodes it has read, and
+        # how many nodes Alg. 2 has expanded for it.
+        cursor = [0] * len(graph.vehicles)
         expanded = [0] * len(graph.vehicles)
         found: list[list[tuple]] = [[] for _ in graph.vehicles]
         while searching:
             graph.rounds += 1
             pairs: list[tuple[int, int]] = []
             with tracer.span("foodgraph.explore"):
-                for v_idx, explorer in list(searching.items()):
+                for v_idx, search in list(searching.items()):
                     near = within[v_idx]
                     hoped = len(found[v_idx])
-                    count = expanded[v_idx]
-                    paused = False
-                    for node, _ in explorer:
-                        count += 1
-                        for b_idx in start_index.get(node, ()):
-                            graph.cost_evaluations += 1
+                    starts = search.starts
+                    at = cursor[v_idx]
+                    while True:
+                        if at == len(starts) and not search.settle_to_next_start(
+                                start_index, expansion_cap):
+                            # Cap hit or network exhausted: no further round.
+                            expanded[v_idx] = search.settled
+                            del searching[v_idx]
+                            break
+                        count, b_idxs = starts[at]
+                        at += 1
+                        graph.cost_evaluations += len(b_idxs)
+                        for b_idx in b_idxs:
                             if near[b_idx]:
                                 pairs.append((b_idx, v_idx))
                                 hoped += 1
                         if hoped >= k or count >= expansion_cap:
-                            paused = count < expansion_cap
+                            expanded[v_idx] = count
+                            if count >= expansion_cap:
+                                del searching[v_idx]
                             break
-                    expanded[v_idx] = count
-                    if not paused:
-                        # Cap hit or network exhausted: no further round.
-                        del searching[v_idx]
+                    cursor[v_idx] = at
             with tracer.span("foodgraph.plan"):
                 edges = _evaluate_pairs(graph, cost_model, now, pairs)
             for (b_idx, v_idx), edge in zip(pairs, edges, strict=True):
@@ -337,6 +365,51 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
         for b_idx, weight, plan in edges:
             graph.add_edge(b_idx, v_idx, weight, plan)
     return graph
+
+
+class _SharedSearch:
+    """One best-first search, read by every vehicle of its group.
+
+    All an explorer reads of a vehicle is its node and, under the angular
+    blend, its next destination: vehicles that agree on those settle the
+    same nodes in the same order.  What Alg. 2 needs of that order is only
+    where the batch start nodes sit in it, so that is what is recorded —
+    ``starts[i] = (nodes settled up to and including the i-th start node,
+    the batches starting there)`` — once, by whichever member gets there
+    first; every member then reads the record with a cursor of its own.
+    The explorer only ever runs as far as its farthest member asks, which
+    is Alg. 2's early stop.
+    """
+
+    __slots__ = ("explorer", "starts", "settled")
+
+    def __init__(self, explorer) -> None:
+        self.explorer = explorer
+        self.starts: list[tuple[int, list[int]]] = []
+        self.settled = 0
+
+    def settle_to_next_start(self, start_index: dict[int, list[int]],
+                             expansion_cap: int) -> bool:
+        """Run the search on until one more start node is recorded.
+
+        ``False`` once there is none left to find: the network is exhausted
+        or ``expansion_cap`` nodes are settled (:attr:`settled` then is what
+        a vehicle reading to the end has expanded).
+        """
+        if self.explorer is None:
+            return False
+        for node, _ in self.explorer:
+            self.settled += 1
+            if self.settled >= expansion_cap:
+                self.explorer = None
+            b_idxs = start_index.get(node)
+            if b_idxs is not None:
+                self.starts.append((self.settled, b_idxs))
+                return True
+            if self.explorer is None:
+                return False
+        self.explorer = None
+        return False
 
 
 def _build_sequentially(graph: FoodGraph, cost_model: CostModel, now: float, k: int,

@@ -25,6 +25,7 @@ from repro.core.batching import BatchingConfig, cluster_orders
 from repro.core.foodgraph import (
     DEFAULT_MAX_FIRST_MILE,
     DEFAULT_OMEGA,
+    FoodGraph,
     build_full_foodgraph,
     build_sparsified_foodgraph,
     solve_matching,
@@ -167,7 +168,7 @@ class FoodMatchPolicy(AssignmentPolicy):
         self.total_cost_evaluations += graph.cost_evaluations
         self.total_nodes_expanded += graph.nodes_expanded
         if effort_before is not None:
-            self._record_search_effort(tracer.registry, effort_before, graph.rounds)
+            self._record_search_effort(tracer.registry, effort_before, graph)
 
         with tracer.span("policy.matching"):
             matches = solve_matching(graph)
@@ -179,11 +180,12 @@ class FoodMatchPolicy(AssignmentPolicy):
         ) for batch_idx, vehicle_idx, plan, weight in matches]
 
     def _record_search_effort(self, registry, before: dict[str, int],
-                              rounds: int) -> None:
+                              graph: FoodGraph) -> None:
         """One sample per window of each search-effort counter (obs on only)."""
         stats = self._cost_model.search_stats
         effort = {name: getattr(stats, name) - start for name, start in before.items()}
-        effort["foodgraph_rounds"] = rounds
+        effort["foodgraph_rounds"] = graph.rounds
+        effort["foodgraph_searches"] = graph.searches
         for name, value in effort.items():
             registry.histogram(f"search.{name}", low=1.0, high=1e9).record(value)
 

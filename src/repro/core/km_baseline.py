@@ -19,6 +19,7 @@ from repro.core.foodgraph import (
     solve_matching,
 )
 from repro.core.policy import Assignment, AssignmentPolicy
+from repro.obs.trace import current_tracer
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.vehicle import Vehicle
@@ -41,18 +42,24 @@ class KMPolicy(AssignmentPolicy):
         candidates = self.eligible_vehicles(vehicles, now)
         if not orders or not candidates:
             return []
+        # The phase spans FoodMatchPolicy opens (no-ops with obs off).
+        tracer = current_tracer()
         with self._cost_model.planning_scope(orders, candidates):
-            batches = self._cost_model.make_batches([[order] for order in orders],
-                                                    now)
-            graph = build_full_foodgraph(batches, candidates, self._cost_model, now,
-                                         omega=self._omega,
-                                         max_first_mile=self._max_first_mile)
+            with tracer.span("policy.batching"):
+                batches = self._cost_model.make_batches(
+                    [[order] for order in orders], now)
+            with tracer.span("policy.foodgraph"):
+                graph = build_full_foodgraph(batches, candidates, self._cost_model,
+                                             now, omega=self._omega,
+                                             max_first_mile=self._max_first_mile)
+            with tracer.span("policy.matching"):
+                matches = solve_matching(graph)
             return [Assignment(
                 vehicle=candidates[vehicle_idx],
                 orders=graph.batches[batch_idx].orders,
                 plan=plan,
                 weight=weight,
-            ) for batch_idx, vehicle_idx, plan, weight in solve_matching(graph)]
+            ) for batch_idx, vehicle_idx, plan, weight in matches]
 
 
 __all__ = ["KMPolicy"]

@@ -44,6 +44,7 @@ drivers) without threading a parameter through each call site.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import traceback
 from dataclasses import dataclass, fields
 from hashlib import sha256
@@ -204,17 +205,28 @@ def _run_cell(setting: ExperimentSetting, spec: PolicySpec) -> SimulationResult:
     return run_setting(setting, spec)
 
 
-def _shared_worker_init(registry: dict[str, str]) -> None:
-    """Pool initializer for shared-memory sweeps.
+def _worker_init(registry: dict[str, str]) -> None:
+    """Pool initializer: default ``SIGTERM``, then the shared-memory registry.
 
-    Installs the driver's ``profile name -> shared segment`` registry in the
-    worker's runner module and evicts any fork-inherited scenario-cache
-    entries for those profiles, so the worker's first :func:`materialize`
-    of each setting attaches the packed arrays instead of reusing (or
-    rebuilding) a private copy.
+    A CLI driver turns ``SIGTERM`` into an exception (``cli.GracefulExit``),
+    and a fork'd worker inherits the handler.  ``Pool.terminate()`` stops its
+    workers with ``SIGTERM``; one that is still returning from sending its
+    last result raises the exception inside the pool's own ``except
+    Exception`` around that send, which swallows it, and the driver joins a
+    worker that never dies (seen as a tier-1 run hanging in ``compare
+    --jobs 2``, about one run in 25).  Workers take the signal's default
+    action.
+
+    For shared-memory sweeps ``registry`` is the driver's ``profile name ->
+    shared segment`` map: it is installed in the worker's runner module and
+    any fork-inherited scenario-cache entries for those profiles are
+    evicted, so the worker's first :func:`materialize` of each setting
+    attaches the packed arrays instead of reusing (or rebuilding) a private
+    copy.
     """
     from repro.experiments import runner
 
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     runner._ATTACH_REGISTRY.clear()
     runner._ATTACH_REGISTRY.update(registry)
     stale = [key for key in runner._SCENARIO_CACHE if key[0] in registry]
@@ -310,9 +322,8 @@ def run_cells(cells: Sequence[ExperimentCell], jobs: int | None = None,
     slots: list[CellResult | None] = [None] * total
     context = _pool_context()
     try:
-        with context.Pool(processes=min(jobs, total),
-                          initializer=_shared_worker_init if registry else None,
-                          initargs=(registry,) if registry else ()) as pool:
+        with context.Pool(processes=min(jobs, total), initializer=_worker_init,
+                          initargs=(registry,)) as pool:
             done = 0
             for index, result, error in pool.imap_unordered(_worker_run, payloads):
                 outcome = CellResult(cells[index], result=result, error=error)

@@ -597,7 +597,9 @@ class DistanceOracle:
            mutated edge (any altered path must cross a mutated edge, and its
            suffix past the last one is undisturbed), so one before/after SSSP
            pair per distinct mutated endpoint pins down every node whose
-           out- or in-distances moved;
+           out- or in-distances moved — and the pairs stop once every node
+           is in the set, unless the update severs an edge (a zonal update
+           touches hundreds of endpoints and saturates after a handful);
         3. the hub-label index repairs only the affected labels
            (:meth:`HubLabelIndex.repair`), falling back to a full rebuild
            once the cumulative repaired region exceeds ``repair_fraction``
@@ -624,30 +626,8 @@ class DistanceOracle:
             if self._index is not None:
                 self._label_snapshot = self._index.snapshot_labels()
         csr = network.csr()
-        rcsr = network.csr(reverse=True)
-        index_of = csr.index_of
-        heads = {index_of[v] for _, v in mutated}
-        tails = {index_of[u] for u, _ in mutated}
-        # One before/after SSSP pair per distinct mutated endpoint.
-        self.sssp_runs += 2 * (len(heads) + len(tails))
-        old_to_head = {h: _csr_dijkstra_all(rcsr, h) for h in heads}
-        old_from_tail = {t: _csr_dijkstra_all(csr, t) for t in tails}
-        for (u, v), factor in mutated.items():
-            network.set_edge_override(u, v, factor)
-        affected_out_idx: set[int] = set()
-        affected_in_idx: set[int] = set()
-        # Nodes that *lost* reachability to/from a mutated endpoint: a severed
-        # closure opens a cut and everything on the far side stops settling in
-        # the after-SSSP.  (Reopenings only restore paths, so this stays 0.)
-        lost_idx: set[int] = set()
-        for head, old in old_to_head.items():
-            new = _csr_dijkstra_all(rcsr, head)
-            affected_out_idx |= _changed_nodes(old, new)
-            lost_idx.update(idx for idx in old if idx not in new)
-        for tail, old in old_from_tail.items():
-            new = _csr_dijkstra_all(csr, tail)
-            affected_in_idx |= _changed_nodes(old, new)
-            lost_idx.update(idx for idx in old if idx not in new)
+        affected_out_idx, affected_in_idx, lost_idx = \
+            self._patch_and_find_affected(mutated)
         ids = csr.node_ids
         affected_out = {ids[i] for i in affected_out_idx}
         affected_in = {ids[i] for i in affected_in_idx}
@@ -702,6 +682,53 @@ class DistanceOracle:
                               if math.isinf(factor)),
             disconnected_nodes=len(lost_idx),
         )
+
+    def _patch_and_find_affected(
+            self, mutated: dict[tuple[int, int], float],
+    ) -> tuple[set[int], set[int], set[int]]:
+        """Steps 1–2: patch the weights, then derive what the patch moved.
+
+        Returns CSR node indexes: the nodes whose distance *to* some mutated
+        head changed, the nodes whose distance *from* some mutated tail
+        changed, and the nodes that lost reachability to or from one.
+        """
+        network = self._network
+        csr = network.csr()
+        rcsr = network.csr(reverse=True)
+        index_of = csr.index_of
+        heads = {index_of[v] for _, v in mutated}
+        tails = {index_of[u] for u, _ in mutated}
+        # The "before" searches run on frozen copies of the pre-mutation
+        # weights, so each endpoint's before/after pair runs back to back and
+        # only one pair of settled-distance dicts is alive at a time.
+        old_csr = csr.frozen_copy()
+        old_rcsr = rcsr.frozen_copy()
+        for (u, v), factor in mutated.items():
+            network.set_edge_override(u, v, factor)
+        # Only an infinite patched weight can take reachability away.  Without
+        # one, an affected set that already holds every node cannot grow and
+        # no node can be lost, so the remaining endpoints' searches are
+        # skipped; with one, ``disconnected_nodes`` needs every search.
+        severing = any(math.isinf(network.static_edge_time(u, v))
+                       for u, v in mutated)
+        affected_out_idx: set[int] = set()
+        affected_in_idx: set[int] = set()
+        # Nodes that *lost* reachability to/from a mutated endpoint: a severed
+        # closure opens a cut and everything on the far side stops settling in
+        # the after-SSSP.  (Reopenings only restore paths, so this stays 0.)
+        lost_idx: set[int] = set()
+        for endpoints, before, after, affected in (
+                (heads, old_rcsr, rcsr, affected_out_idx),
+                (tails, old_csr, csr, affected_in_idx)):
+            for endpoint in endpoints:
+                if not severing and len(affected) == csr.num_nodes:
+                    break
+                self.sssp_runs += 2
+                old = _csr_dijkstra_all(before, endpoint)
+                new = _csr_dijkstra_all(after, endpoint)
+                affected |= _changed_nodes(old, new)
+                lost_idx.update(idx for idx in old if idx not in new)
+        return affected_out_idx, affected_in_idx, lost_idx
 
     def reset_traffic_state(self) -> None:
         """Return the oracle to a *bit*-pristine pre-traffic state.

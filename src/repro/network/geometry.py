@@ -82,11 +82,24 @@ def angular_distance(location: Coordinate, destination: Coordinate, candidate: C
     are idle (``destination == location``) are direction-less; we return
     ``0.0`` so that only the travel-time term matters for them.
     """
-    if destination == location or candidate == location:
+    if destination == location:
         return 0.0
-    theta_dest = bearing(location, destination)
-    theta_cand = bearing(location, candidate)
-    return (1.0 - math.cos(theta_dest - theta_cand)) / 2.0
+    return angular_distance_from_heading(bearing(location, destination),
+                                         location, candidate)
+
+
+def angular_distance_from_heading(heading: float, location: Coordinate,
+                                  candidate: Coordinate) -> float:
+    """:func:`angular_distance` of a vehicle whose ``bearing(location,
+    destination)`` is already known.
+
+    A best-first search scores thousands of candidates against one vehicle;
+    its heading is the same for all of them.  The caller handles the idle
+    case (``destination == location``: no heading, angular distance zero).
+    """
+    if candidate == location:
+        return 0.0
+    return (1.0 - math.cos(heading - bearing(location, candidate))) / 2.0
 
 
 __all__ = [
@@ -96,4 +109,5 @@ __all__ = [
     "euclidean_distance",
     "bearing",
     "angular_distance",
+    "angular_distance_from_heading",
 ]

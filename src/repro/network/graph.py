@@ -174,6 +174,19 @@ class CSRAdjacency:
         if self._weights_list is not None:
             self._weights_list[pos] = value
 
+    def frozen_copy(self) -> CSRAdjacency:
+        """A copy that keeps today's weights when this adjacency is patched.
+
+        The structure (``node_ids``, ``index_of``, ``indptr``, ``indices``
+        and their list views, which :meth:`edge_position` materialises for
+        any patch anyway) is shared; only the weights are copied.
+        """
+        copy = CSRAdjacency(self.node_ids, self.index_of, self.indptr,
+                            self.indices, self.weights.copy())
+        copy._indptr_list = self.indptr_list
+        copy._indices_list = self.indices_list
+        return copy
+
 
 class RoadNetwork:
     """A directed road network with time-dependent traversal times.

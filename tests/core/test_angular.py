@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.angular import travel_time_weight, vehicle_sensitive_weight
+from repro.network.geometry import angular_distance
 from repro.orders.order import Order
 from repro.orders.route_plan import PlanEvaluation, RoutePlan, RouteStop
 from repro.orders.vehicle import Vehicle
@@ -77,3 +78,15 @@ class TestVehicleSensitiveWeight:
         w_north = vehicle_sensitive_weight(small_grid, north, 0.0, gamma=1.0)
         assert w_east(0, 1) < w_east(0, 6)
         assert w_north(0, 6) < w_north(0, 1)
+
+    def test_gamma_one_is_angular_distance_bit_for_bit(self, small_grid):
+        # The closure takes the vehicle's bearing once, not once per edge;
+        # gamma=1 exposes the angular term unblended.  Destination 14 is the
+        # vehicle's own node: direction-less, every term zero.
+        coord = small_grid.coord
+        for destination in (35, 5, 14):
+            vehicle = vehicle_heading_to(destination, at_node=14)
+            weight = vehicle_sensitive_weight(small_grid, vehicle, 0.0, gamma=1.0)
+            for u, v, _ in small_grid.edges():
+                assert weight(u, v) == angular_distance(
+                    coord(14), coord(destination), coord(v))

@@ -12,8 +12,14 @@ Three equivalences and one lifetime guarantee:
 * the window's planning table is gone once ``assign`` returns or raises,
   and a plan requested after a traffic update reads post-update distances;
 * no explorer of a FoodGraph build survives it.
+
+The fleets of the first equivalence include *stacks* — vehicles standing on
+one node, idle or bound for one common restaurant — which the builder serves
+with one best-first search per ``(node, next destination)``.
 """
 
+import collections
+import dataclasses
 import gc
 import heapq
 import itertools
@@ -69,6 +75,38 @@ def _loaded_vehicles(rng: random.Random, nodes, model: CostModel, count: int):
     return vehicles
 
 
+def _stacked_vehicles(rng: random.Random, nodes, model: CostModel, batches,
+                      first_id: int):
+    """Two stacks of vehicles, each waiting where some batch starts: idle
+    members, and members bound for the stack's one restaurant.  They differ
+    in what they carry and may carry, so a stack's members fill up — or give
+    up — in different rounds of the search they share."""
+    vehicles = []
+    for _ in range(2):
+        node = rng.choice(batches).first_pickup_node
+        restaurant = rng.choice(nodes)
+        for member in range(rng.randrange(4, 7)):
+            vehicle = Vehicle(vehicle_id=first_id + len(vehicles), node=node,
+                              max_orders=rng.choice((1, 2, 3)),
+                              max_items=rng.choice((3, 6, 10)))
+            if member % 2:
+                # Every carried order is picked up at ``restaurant``, so that
+                # is where the vehicle's plan starts, whatever else differs.
+                carried = [dataclasses.replace(order, restaurant_node=restaurant)
+                           for order in _orders(
+                               rng, nodes, rng.randrange(1, min(2, vehicle.max_orders) + 1),
+                               base_id=1000 + 10 * vehicle.vehicle_id)]
+                vehicle.assign(carried, model.plan_for_vehicle(vehicle, carried, NOW))
+            vehicles.append(vehicle)
+    return vehicles
+
+
+def _search_key(vehicle: Vehicle, use_angular: bool):
+    """All a best-first explorer reads of a vehicle."""
+    return ((vehicle.node, vehicle.next_destination) if use_angular
+            else vehicle.node)
+
+
 def _edges_in_order(graph):
     """Edges as inserted: key, weight and the plan's stops and evaluation."""
     out = []
@@ -86,11 +124,14 @@ def _build_both(seed: int):
     oracle = _oracle(seed % 5)
     nodes = oracle.network.nodes
     model = CostModel(oracle)
-    pool = _orders(rng, nodes, rng.randrange(4, 12), base_id=0)
+    pool = _orders(rng, nodes, rng.randrange(4, 18), base_id=0)
     batches = model.make_batches(
         [pool[i:i + size] for i, size in zip(
             range(0, len(pool), 2), itertools.cycle((1, 2)), strict=False)], NOW)
     vehicles = _loaded_vehicles(rng, nodes, model, rng.randrange(2, 7))
+    vehicles += _stacked_vehicles(rng, nodes, model, batches,
+                                  first_id=len(vehicles))
+    rng.shuffle(vehicles)
     options = dict(
         k=rng.choice((1, 2, 3)),
         # Ω cut-offs are only known once a pair is planned: together with the
@@ -98,24 +139,30 @@ def _build_both(seed: int):
         omega=rng.choice((400.0, 1500.0, 7200.0)),
         max_first_mile=rng.choice((300.0, 900.0, 2700.0)),
         use_angular=rng.random() < 0.5,
-        max_expansions=rng.choice((None, 25)))
+        # (The network has 40 nodes.)
+        max_expansions=rng.choice((None, 25, 8)))
     fast = build_sparsified_foodgraph(batches, vehicles, model, NOW,
                                       vectorized=True, **options)
     slow = build_sparsified_foodgraph(batches, vehicles, CostModel(oracle, vectorized=False),
                                       NOW, vectorized=False, **options)
-    return fast, slow
+    return fast, slow, options
 
 
 class TestOptimisticRounds:
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=60, deadline=None)
     def test_same_graph_as_the_sequential_loop(self, seed):
-        fast, slow = _build_both(seed)
+        fast, slow, options = _build_both(seed)
         assert _edges_in_order(fast) == _edges_in_order(slow)
         assert fast.cost_evaluations == slow.cost_evaluations
         assert fast.nodes_expanded == slow.nodes_expanded
         for v_idx in range(len(fast.vehicles)):
             assert fast.vehicle_degree(v_idx) == slow.vehicle_degree(v_idx)
+        # One search per distinct (node, next destination), not per vehicle.
+        assert fast.searches == len({_search_key(vehicle, options["use_angular"])
+                                     for vehicle in fast.vehicles})
+        assert fast.searches < len(fast.vehicles)
+        assert slow.searches == 0
 
     def test_refusals_really_force_second_rounds(self):
         # The property above is only worth its name if some of its examples
@@ -123,6 +170,31 @@ class TestOptimisticRounds:
         rounds = [_build_both(seed)[0].rounds for seed in range(40)]
         assert max(rounds) >= 3
         assert sum(r >= 2 for r in rounds) >= 10
+
+    def test_members_of_one_search_really_part_ways(self, monkeypatch):
+        # ... and sharing a search is only put to the test if the vehicles
+        # reading one stop at different places in it.  Vehicles on one node
+        # are within the first-mile bound of the same batches, so they
+        # stopped at different places iff they had different numbers of
+        # pairs evaluated.
+        evaluate = foodgraph_module._evaluate_pairs
+        evaluated = collections.Counter()
+
+        def spy(graph, cost_model, now, pairs):
+            evaluated.update(v_idx for _, v_idx in pairs)
+            return evaluate(graph, cost_model, now, pairs)
+
+        monkeypatch.setattr(foodgraph_module, "_evaluate_pairs", spy)
+        parted = 0
+        for seed in range(40):
+            evaluated.clear()
+            fast, _, options = _build_both(seed)
+            stops: dict = {}
+            for v_idx, vehicle in enumerate(fast.vehicles):
+                stops.setdefault(_search_key(vehicle, options["use_angular"]),
+                                 set()).add(evaluated[v_idx])
+            parted += any(len(counts) > 1 for counts in stops.values())
+        assert parted >= 10
 
     def test_no_explorer_survives_the_build(self, monkeypatch):
         born = []

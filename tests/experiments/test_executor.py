@@ -8,9 +8,11 @@ session-default jobs plumbing validates its inputs.
 """
 
 import os
+import signal
 
 import pytest
 
+from repro.experiments import executor
 from repro.experiments.executor import (
     CellFailure,
     ExperimentCell,
@@ -130,6 +132,17 @@ class TestFailureIsolation:
 
 
 class TestPlumbing:
+    def test_workers_do_not_inherit_the_drivers_sigterm_handler(self):
+        # Pool.terminate() stops workers with SIGTERM.  The CLI's handler
+        # raises an Exception, which the pool's worker loop can swallow
+        # (around sending a result): the driver then joins forever.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            executor._worker_init({})
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
     def test_replicate_cells_deterministic_and_distinct(self):
         specs = [PolicySpec.of("km"), PolicySpec.of("greedy")]
         first = replicate_cells(SMALL, specs, replicates=3)

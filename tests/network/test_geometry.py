@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.network.geometry import (
     angular_distance,
+    angular_distance_from_heading,
     bearing,
     euclidean_distance,
     haversine_distance,
@@ -106,3 +107,22 @@ class TestAngularDistance:
     def test_bounded_between_zero_and_one(self, loc, dest, cand):
         value = angular_distance(loc, dest, cand)
         assert 0.0 <= value <= 1.0
+
+    @given(pool=st.lists(coords, min_size=1, max_size=3),
+           picks=st.tuples(*[st.integers(min_value=0, max_value=2)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_heading_computed_once_is_bit_identical(self, pool, picks):
+        # A search computes the vehicle's own bearing once and scores every
+        # candidate against it.  Drawing the three points from a pool of at
+        # most three makes every coincidence (idle vehicle, candidate at the
+        # vehicle, candidate at the destination) come up.
+        loc, dest, cand = (pool[i % len(pool)] for i in picks)
+        if dest == loc or cand == loc:
+            two_bearings = 0.0
+        else:
+            two_bearings = (1.0 - math.cos(bearing(loc, dest)
+                                           - bearing(loc, cand))) / 2.0
+        assert angular_distance(loc, dest, cand).hex() == two_bearings.hex()
+        hoisted = (0.0 if dest == loc else
+                   angular_distance_from_heading(bearing(loc, dest), loc, cand))
+        assert hoisted.hex() == two_bearings.hex()

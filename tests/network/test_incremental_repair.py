@@ -8,15 +8,16 @@ from-scratch rebuild on the mutated network.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.distance_oracle import DistanceOracle
+from repro.network.distance_oracle import DistanceOracle, _changed_nodes
 from repro.network.generators import grid_city, random_geometric_city
 from repro.network.graph import TimeProfile
 from repro.network.hub_labeling import HubLabelIndex
-from repro.network.shortest_path import dijkstra
+from repro.network.shortest_path import _csr_dijkstra_all, dijkstra
 
 
 def fresh_network(seed=3, num_nodes=48):
@@ -287,3 +288,155 @@ class TestSeveredClosures:
         path = oracle.path(0, 7)
         assert (3, 4) in set(zip(path, path[1:], strict=False))
         assert_matches_rebuild(oracle, net, sample_pairs=40, seed=7)
+
+
+class ExhaustiveOracle(DistanceOracle):
+    """The affected-set search as it ran before it learnt to stop: a
+    before/after SSSP pair for *every* distinct mutated endpoint, every
+    "before" tree held until its "after" is in.  The reference
+    :class:`DistanceOracle` is compared against, call for call."""
+
+    def _patch_and_find_affected(self, mutated):
+        network = self.network
+        csr = network.csr()
+        rcsr = network.csr(reverse=True)
+        heads = {csr.index_of[v] for _, v in mutated}
+        tails = {csr.index_of[u] for u, _ in mutated}
+        self.sssp_runs += 2 * (len(heads) + len(tails))
+        old_to_head = {h: _csr_dijkstra_all(rcsr, h) for h in heads}
+        old_from_tail = {t: _csr_dijkstra_all(csr, t) for t in tails}
+        for (u, v), factor in mutated.items():
+            network.set_edge_override(u, v, factor)
+        affected_out, affected_in, lost = set(), set(), set()
+        for head, old in old_to_head.items():
+            new = _csr_dijkstra_all(rcsr, head)
+            affected_out |= _changed_nodes(old, new)
+            lost.update(idx for idx in old if idx not in new)
+        for tail, old in old_from_tail.items():
+            new = _csr_dijkstra_all(csr, tail)
+            affected_in |= _changed_nodes(old, new)
+            lost.update(idx for idx in old if idx not in new)
+        return affected_out, affected_in, lost
+
+
+def _apply_to_both(oracle, reference, changes):
+    """Apply one update to both oracles; returns their ``sssp_runs`` deltas
+    after checking they did the same thing to everything one can observe."""
+    before = oracle.sssp_runs, reference.sssp_runs
+    stats = oracle.apply_traffic_updates(changes)
+    assert stats == reference.apply_traffic_updates(changes)  # every field
+    for cache in ("_point_cache", "_path_cache", "_sssp_cache"):
+        assert list(getattr(oracle, cache)._data) == \
+            list(getattr(reference, cache)._data), cache
+    runs = oracle.sssp_runs - before[0], reference.sssp_runs - before[1]
+    nodes = oracle.network.nodes
+    if oracle.method == "hub_label":
+        assert oracle.index_info() == reference.index_info()
+        got = oracle.hub_index.query_block(nodes, nodes)
+        expected = reference.hub_index.query_block(nodes, nodes)
+    else:
+        got = oracle.static_distance_matrix(nodes, nodes)
+        expected = reference.static_distance_matrix(nodes, nodes)
+    assert np.array_equal(got, expected)  # bit for bit, inf where cut
+    return runs
+
+
+def _random_update(rng: random.Random, network, kind: str):
+    """One update of the kinds the traffic controller produces."""
+    edges = [(u, v) for u, v, _ in network.edges()]
+    if kind == "incident":
+        u, v = rng.choice(edges)
+        factor = rng.choice([0.25, 0.5, 2.0, 8.0, 600.0])
+        return {edge: factor for edge in ((u, v), (v, u)) if network.has_edge(*edge)}
+    if kind == "zone":
+        # Every street among the nodes nearest one centre: multi-edge,
+        # usually enough to move every node's distances.
+        centre = network.coord(rng.choice(network.nodes))
+        zone = set(sorted(network.nodes, key=lambda n: math.dist(
+            network.coord(n), centre))[:rng.randint(6, network.num_nodes)])
+        factor = rng.choice([1.3, 1.6, 2.5])
+        return {(u, v): factor for u, v in edges if u in zone and v in zone}
+    if kind == "closure":
+        return dict.fromkeys(rng.sample(edges, rng.randint(1, 3)), math.inf)
+    if kind == "reopen":
+        closed = [edge for edge in network.edge_overrides()
+                  if math.isinf(network.edge_override(*edge))]
+        return {edge: rng.choice([1.0, 3.0]) for edge in closed}
+    assert kind == "clear"  # every live factor back to 1.0
+    return dict.fromkeys(network.edge_overrides(), 1.0)
+
+
+@pytest.mark.parametrize("method", ["hub_label", "dijkstra"])
+class TestSearchSaturation:
+    """Stopping the affected-set search early changes nothing but its cost."""
+
+    @given(seed=st.integers(min_value=0, max_value=2_000))
+    @settings(max_examples=15, deadline=None)
+    def test_random_update_sequences_match_the_exhaustive_search(self, method, seed):
+        rng = random.Random(seed)
+        oracle = DistanceOracle(fresh_network(seed=seed % 7, num_nodes=30),
+                                method=method)
+        reference = ExhaustiveOracle(fresh_network(seed=seed % 7, num_nodes=30),
+                                     method=method)
+        nodes = oracle.network.nodes
+        kinds = ["incident", "zone", "closure", "zone", "reopen", "incident", "clear"]
+        rng.shuffle(kinds)
+        for kind in kinds:
+            # Warm every cache, so the scoped eviction has something to scope.
+            for _ in range(25):
+                s, t = rng.choice(nodes), rng.choice(nodes)
+                for each in (oracle, reference):
+                    each.distance(s, t, 0.0)
+                    each.path_or_none(s, t)
+            changes = _random_update(rng, oracle.network, kind)
+            runs, exhaustive = _apply_to_both(oracle, reference, changes)
+            assert runs <= exhaustive
+            if any(math.isinf(factor) for factor in changes.values()):
+                assert runs == exhaustive
+        assert_matches_rebuild(oracle, oracle.network, sample_pairs=30, seed=seed)
+
+    def _zone_on_a_grid(self, method):
+        def grid():
+            return grid_city(rows=20, cols=20, block_km=0.4, diagonal_fraction=0.0,
+                             congested_fraction=0.0, profile=TimeProfile.flat(),
+                             seed=3)
+        oracle = DistanceOracle(grid(), method=method)
+        reference = ExhaustiveOracle(grid(), method=method)
+        # A zonal rush hour over the central 10 x 10 block (row-major ids).
+        zone = {20 * row + col for row in range(5, 15) for col in range(5, 15)}
+        changes = {(u, v): 1.6 for u, v, _ in oracle.network.edges()
+                   if u in zone and v in zone}
+        assert len(changes) == 2 * 2 * 10 * 9
+        return oracle, reference, changes
+
+    def test_zonal_update_stops_once_every_node_is_affected(self, method):
+        oracle, reference, changes = self._zone_on_a_grid(method)
+        runs, exhaustive = _apply_to_both(oracle, reference, changes)
+        # A before/after pair for each of 100 heads and 100 tails.
+        assert exhaustive == 400
+        # The zone's rim comes first (its heads are still reached, unchanged,
+        # from outside); the first endpoint inside it affects every node.
+        assert runs <= 60
+        # Clearing the zone saturates just the same.
+        runs, exhaustive = _apply_to_both(oracle, reference,
+                                          dict.fromkeys(changes, 1.0))
+        assert runs <= 60 and exhaustive == 400
+
+    def test_one_severed_edge_in_the_zone_runs_every_search(self, method):
+        oracle, reference, changes = self._zone_on_a_grid(method)
+        changes[next(iter(changes))] = math.inf
+        # (_apply_to_both compares disconnected_nodes with every other field.)
+        runs, exhaustive = _apply_to_both(oracle, reference, changes)
+        assert runs == exhaustive == 400
+
+    def test_severed_bridge_in_a_saturating_update(self, method):
+        # A zone over everything and the one bridge cut: all 8 nodes lose
+        # somebody, which only the full set of searches can report.
+        oracle = DistanceOracle(bridge_network(), method=method)
+        reference = ExhaustiveOracle(bridge_network(), method=method)
+        changes = {(u, v): 2.0 for u, v, _ in oracle.network.edges()}
+        changes[(3, 4)] = changes[(4, 3)] = math.inf
+        runs, exhaustive = _apply_to_both(oracle, reference, changes)
+        assert runs == exhaustive == 32
+        reopened = oracle.apply_traffic_updates({(3, 4): 2.0, (4, 3): 2.0})
+        assert reopened.disconnected_nodes == 0

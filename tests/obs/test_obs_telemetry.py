@@ -21,6 +21,7 @@ import pytest
 
 from repro import obs
 from repro.core.foodmatch import FoodMatchPolicy
+from repro.core.km_baseline import KMPolicy
 from repro.experiments.executor import (
     ExperimentCell,
     merge_cell_traces,
@@ -41,7 +42,8 @@ ENGINE_PHASES = {"engine.window", "engine.advance", "engine.ingest",
                  "engine.decide", "engine.apply", "engine.drain"}
 
 
-def _run(mode: str, traffic: str = "none", seed: int = 7, scale: float = 0.08):
+def _run(mode: str, traffic: str = "none", seed: int = 7, scale: float = 0.08,
+         make_policy=FoodMatchPolicy):
     obs.set_mode(mode)
     try:
         profile = CITY_PROFILES["CityA"].scaled(scale)
@@ -49,7 +51,7 @@ def _run(mode: str, traffic: str = "none", seed: int = 7, scale: float = 0.08):
                                      end_hour=13, traffic=traffic)
         oracle = DistanceOracle(scenario.network)
         cost_model = CostModel(oracle)
-        policy = FoodMatchPolicy(cost_model)
+        policy = make_policy(cost_model)
         config = SimulationConfig(delta=300.0, start=12 * 3600.0,
                                   end=13 * 3600.0)
         return Simulator(scenario, policy, cost_model, config).run()
@@ -165,11 +167,24 @@ class TestTraceMode:
             stats["policy.batching"]["total_seconds"]
         windows = stats["policy.foodgraph"]["count"]
         for name in ("kernel_passes", "kernel_rows", "base_plans_reused",
-                     "foodgraph_rounds"):
+                     "foodgraph_rounds", "foodgraph_searches"):
             assert telemetry.histograms[f"search.{name}"]["count"] == windows
         assert telemetry.histograms["search.kernel_passes"]["sum"] == \
             telemetry.counters["cost.kernel_passes"]
         assert telemetry.histograms["search.foodgraph_rounds"]["min"] >= 1
+        assert telemetry.histograms["search.foodgraph_searches"]["min"] >= 1
+
+    def test_km_windows_have_the_policy_phase_spans(self):
+        # engine.decide is not a leaf under KM either: its windows open the
+        # same three phase spans FoodMatch's do, once each.
+        stats = _run("summary", make_policy=KMPolicy).telemetry.phase_stats
+        decided = stats["policy.foodgraph"]["count"]
+        assert 1 <= decided <= stats["engine.decide"]["count"]
+        for phase in ("policy.batching", "policy.matching"):
+            assert stats[phase]["count"] == decided
+        assert sum(stats[phase]["total_seconds"] for phase in (
+            "policy.batching", "policy.foodgraph", "policy.matching")) <= \
+            stats["engine.decide"]["total_seconds"]
 
 
 class TestExecutorMerge:
