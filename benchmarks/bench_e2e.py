@@ -38,7 +38,8 @@ Three kernels, all asserting exactness *before* any timing:
     clock must be free when nothing fires.
 
 PR 4 kernels go to ``BENCH_PR4.json``, the event-density dimension to
-``BENCH_PR5.json`` (repo root by default).  Run::
+``BENCH_PR5.json`` (repo root by default; with ``--out X.json`` alone the
+latter goes next to it, as ``X_pr5.json``).  Run::
 
     PYTHONPATH=src python benchmarks/bench_e2e.py          # full
     PYTHONPATH=src python benchmarks/bench_e2e.py --smoke  # CI smoke
@@ -316,15 +317,28 @@ def run(smoke: bool = False, out_path: pathlib.Path = DEFAULT_OUT,
     return payload
 
 
-def main() -> None:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small, fast workloads for CI")
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
-                        help="where to write the PR4 JSON results")
-    parser.add_argument("--out-pr5", type=pathlib.Path, default=DEFAULT_OUT_PR5,
-                        help="where to write the PR5 event-density results")
-    args = parser.parse_args()
+    parser.add_argument("--out", type=pathlib.Path,
+                        help=f"where to write the PR4 JSON results (default: {DEFAULT_OUT})")
+    parser.add_argument("--out-pr5", type=pathlib.Path,
+                        help="where to write the PR5 event-density results (default: "
+                             "<stem>_pr5.json next to --out when that is given, "
+                             f"else {DEFAULT_OUT_PR5})")
+    args = parser.parse_args(argv)
+    if args.out_pr5 is None:
+        # A run told where to write must not touch the tracked snapshot either.
+        args.out_pr5 = (DEFAULT_OUT_PR5 if args.out is None
+                        else args.out.with_name(f"{args.out.stem}_pr5.json"))
+    if args.out is None:
+        args.out = DEFAULT_OUT
+    return args
+
+
+def main() -> None:
+    args = parse_args()
     payload = run(smoke=args.smoke, out_path=args.out,
                   out_path_pr5=args.out_pr5)
     window = payload["kernels"]["window_hot_path"]

@@ -22,9 +22,12 @@ roll into the next accumulation window).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
+
+import numpy as np
 
 from repro.core.angular import (
     VehicleSensitiveExplorer,
@@ -78,39 +81,11 @@ class FoodGraph:
     #: distinct (node, next destination) among the vehicles, so at most one
     #: per vehicle (0 for the full graph)
     searches: int = 0
-    #: incrementally maintained per-vehicle finite-edge counts (Alg. 2's
-    #: stopping rule reads them every expansion step)
-    _degree_counts: dict[int, int] = field(default_factory=dict, repr=False)
-    _degree_edge_count: int = field(default=0, repr=False)
-
-    def invalidate_degree_counts(self) -> None:
-        """Force a recount on the next degree read.
-
-        Callers that mutate :attr:`edges` directly (instead of through
-        :meth:`add_edge`) must call this; the automatic staleness check only
-        catches mutations that change the edge count, not length-preserving
-        replace-one-key-with-another edits.
-        """
-        self._degree_edge_count = -1
-
-    def _sync_degree_counts(self) -> None:
-        """Rebuild per-vehicle counts if ``edges`` looks externally mutated."""
-        if self._degree_edge_count != len(self.edges):
-            counts: dict[int, int] = {}
-            for (_, v) in self.edges:
-                counts[v] = counts.get(v, 0) + 1
-            self._degree_counts = counts
-            self._degree_edge_count = len(self.edges)
 
     def add_edge(self, batch_idx: int, vehicle_idx: int, weight: float,
                  plan: RoutePlan | Callable[[], RoutePlan]) -> None:
-        """Insert (or replace) a finite edge, keeping degree counts current."""
-        self._sync_degree_counts()
-        key = (batch_idx, vehicle_idx)
-        if key not in self.edges:
-            self._degree_counts[vehicle_idx] = self._degree_counts.get(vehicle_idx, 0) + 1
-        self.edges[key] = (weight, plan)
-        self._degree_edge_count = len(self.edges)
+        """Insert (or replace) a finite edge."""
+        self.edges[(batch_idx, vehicle_idx)] = (weight, plan)
 
     def weight(self, batch_idx: int, vehicle_idx: int) -> float:
         """Edge weight, Ω when the pair has no explicit edge."""
@@ -143,15 +118,8 @@ class FoodGraph:
         return len(self.edges)
 
     def vehicle_degree(self, vehicle_idx: int) -> int:
-        """Number of finite-weight edges incident to a vehicle (O(1)).
-
-        Counts are maintained by :meth:`add_edge`.  Direct mutation of
-        ``edges`` that changes the edge count triggers an automatic recount;
-        length-preserving direct edits additionally require
-        :meth:`invalidate_degree_counts`.
-        """
-        self._sync_degree_counts()
-        return self._degree_counts.get(vehicle_idx, 0)
+        """Number of finite-weight edges incident to a vehicle."""
+        return sum(v_idx == vehicle_idx for _, v_idx in self.edges)
 
 
 def _pair_weight(batch: Batch, vehicle: Vehicle, cost_model: CostModel, now: float,
@@ -168,19 +136,28 @@ def _pair_weight(batch: Batch, vehicle: Vehicle, cost_model: CostModel, now: flo
 
 
 def _evaluate_pairs(graph: FoodGraph, cost_model: CostModel, now: float,
-                    pairs: list[tuple[int, int]],
-                    ) -> list[tuple[float, Callable[[], RoutePlan]] | None]:
-    """Marginal costs of ``(batch_idx, vehicle_idx)`` pairs, in one bulk call.
+                    b_idx: np.ndarray, v_idx: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                               list[Callable[[], RoutePlan]]]:
+    """Marginal costs of the pairs ``(b_idx[i], v_idx[i])``, in one bulk call.
 
-    The pairs have passed the first-mile bound already.  Per pair: the edge
-    — its weight and its route plan on demand, as :meth:`FoodGraph.add_edge`
-    takes them — or ``None`` where the pair stays at Ω.
+    The pairs have passed the first-mile bound already.  Returns the pairs
+    that become edges (the others stay at Ω) — batch indices, vehicle
+    indices, weights, and each one's route plan on demand, as
+    :attr:`FoodGraph.edges` stores it.
     """
     weights, plan_of = cost_model.marginal_costs(
-        [(graph.batches[b_idx].orders, graph.vehicles[v_idx])
-         for b_idx, v_idx in pairs], now)
-    return [(weight, functools.partial(plan_of, i)) if weight < graph.omega else None
-            for i, weight in enumerate(weights)]
+        [batch.orders for batch in graph.batches], graph.vehicles, b_idx, v_idx, now)
+    kept = np.flatnonzero(weights < graph.omega)
+    return (b_idx[kept], v_idx[kept], weights[kept],
+            list(map(functools.partial, itertools.repeat(plan_of), kept.tolist())))
+
+
+def _store_edges(graph: FoodGraph, b_idx: np.ndarray, v_idx: np.ndarray,
+                 weights: np.ndarray, plans: Sequence[Callable[[], RoutePlan]]) -> None:
+    """Insert what :func:`_evaluate_pairs` kept, in the order given."""
+    graph.edges.update(zip(zip(b_idx.tolist(), v_idx.tolist(), strict=True),
+                           zip(weights.tolist(), plans, strict=True), strict=True))
 
 
 def build_full_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
@@ -203,13 +180,9 @@ def build_full_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
         first_miles = cost_model.distance_matrix(
             [vehicle.node for vehicle in graph.vehicles],
             [batch.first_pickup_node for batch in graph.batches], now)
-        within = (first_miles <= max_first_mile).T.tolist()
-        pairs = [(b_idx, v_idx) for b_idx, row in enumerate(within)
-                 for v_idx, near in enumerate(row) if near]
-        for (b_idx, v_idx), edge in zip(
-                pairs, _evaluate_pairs(graph, cost_model, now, pairs), strict=True):
-            if edge is not None:
-                graph.add_edge(b_idx, v_idx, *edge)
+        # Batch-major, the order edges are inserted in.
+        b_idx, v_idx = np.nonzero((first_miles <= max_first_mile).T)
+        _store_edges(graph, *_evaluate_pairs(graph, cost_model, now, b_idx, v_idx))
     graph.cost_evaluations = len(graph.batches) * len(graph.vehicles)
     return graph
 
@@ -323,14 +296,16 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
         # how many nodes Alg. 2 has expanded for it.
         cursor = [0] * len(graph.vehicles)
         expanded = [0] * len(graph.vehicles)
-        found: list[list[tuple]] = [[] for _ in graph.vehicles]
+        # A vehicle's successful degree so far, and the edges of every round.
+        degree = [0] * len(graph.vehicles)
+        found: list[tuple] = []
         while searching:
             graph.rounds += 1
             pairs: list[tuple[int, int]] = []
             with tracer.span("foodgraph.explore"):
                 for v_idx, search in list(searching.items()):
                     near = within[v_idx]
-                    hoped = len(found[v_idx])
+                    hoped = degree[v_idx]
                     starts = search.starts
                     at = cursor[v_idx]
                     while True:
@@ -354,16 +329,21 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                             break
                     cursor[v_idx] = at
             with tracer.span("foodgraph.plan"):
-                edges = _evaluate_pairs(graph, cost_model, now, pairs)
-            for (b_idx, v_idx), edge in zip(pairs, edges, strict=True):
-                if edge is not None:
-                    found[v_idx].append((b_idx, *edge))
-            for v_idx in [v_idx for v_idx in searching if len(found[v_idx]) >= k]:
+                discovered = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+                edges = _evaluate_pairs(graph, cost_model, now,
+                                        discovered[:, 0], discovered[:, 1])
+            found.append(edges)
+            degree = (np.bincount(edges[1], minlength=len(degree)) + degree).tolist()
+            for v_idx in [v_idx for v_idx in searching if degree[v_idx] >= k]:
                 del searching[v_idx]
     graph.nodes_expanded = sum(expanded)
-    for v_idx, edges in enumerate(found):
-        for b_idx, weight, plan in edges:
-            graph.add_edge(b_idx, v_idx, weight, plan)
+    # Vehicle by vehicle, each one's edges in discovery order.
+    b_idx, v_idx, weights, plans = zip(*found, strict=True)
+    b_idx, v_idx, weights = map(np.concatenate, (b_idx, v_idx, weights))
+    plans = list(itertools.chain.from_iterable(plans))
+    by_vehicle = np.argsort(v_idx, kind="stable")
+    _store_edges(graph, b_idx[by_vehicle], v_idx[by_vehicle], weights[by_vehicle],
+                 [plans[i] for i in by_vehicle.tolist()])
     return graph
 
 

@@ -138,9 +138,11 @@ def format_telemetry_report(telemetry,
         passes = telemetry.counters.get("cost.kernel_passes")
         if passes:
             rows = telemetry.counters.get("cost.kernel_rows", 0)
+            steps = telemetry.counters.get("cost.kernel_steps", 0)
             reused = telemetry.counters.get("cost.base_plans_reused", 0)
             report += (f" in {passes:,.0f} kernel passes ({rows:,.0f} permutation "
-                       f"rows; {reused:,.0f} base plans reused)")
+                       f"rows, {steps:,.0f} prefix steps; {reused:,.0f} base plans "
+                       "reused)")
     resilience = telemetry.meta.get("resilience")
     if resilience is not None:
         report += (

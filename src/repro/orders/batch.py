@@ -9,6 +9,7 @@ batch cost during clustering), and that plan's cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.orders.order import Order
 from repro.orders.route_plan import RoutePlan
@@ -42,9 +43,15 @@ class Batch:
         """Number of orders in the batch."""
         return len(self.orders)
 
-    @property
+    @cached_property
     def items(self) -> int:
-        """Total item count (checked against MAXI when merging / assigning)."""
+        """Total item count (checked against MAXI when merging / assigning).
+
+        Computed once per batch, like :attr:`first_pickup_node`: clustering
+        reads it for every candidate merge.  (The cache lives in the instance
+        ``__dict__``, which a frozen dataclass still has; equality and hash
+        read the fields only.)
+        """
         return sum(order.items for order in self.orders)
 
     @property
@@ -52,7 +59,7 @@ class Batch:
         """Internal cost ``Cost(v_i, pi_i)`` of the batch."""
         return self.plan.cost
 
-    @property
+    @cached_property
     def first_pickup_node(self) -> int:
         """Restaurant node of ``pi[1]``, the first order picked up by the plan.
 

@@ -35,9 +35,11 @@ from repro.orders.route_plan import (
     PlanRequest,
     RoutePlan,
     best_route_plan,
-    best_route_plan_vectorized,
     insertion_route_plan,
     permutation_rows,
+    prefix_steps,
+    request_rows,
+    route_plan_kernel,
     scan_route_plan,
 )
 from repro.orders.vehicle import Vehicle
@@ -65,26 +67,58 @@ class SearchStats:
 
     #: calls of the array kernel (one per plan shape per bulk search)
     kernel_passes: int = 0
-    #: requests x valid permutations those passes walked
+    #: requests x valid permutations those passes decided between
     kernel_rows: int = 0
+    #: requests x prefix-tree nodes those passes walked: the stops evaluated,
+    #: where walking every permutation alone takes ``kernel_rows`` x stops
+    kernel_steps: int = 0
     #: marginal costs whose ``Cost(v, O_v)`` came from the window's memo
     base_plans_reused: int = 0
 
 
+def _padded(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Ragged lists of order slots as the rows of one matrix, padded with ``-1``."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    matrix = np.full((len(rows), int(lengths.max(initial=0))), -1, dtype=np.intp)
+    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = list(
+        itertools.chain.from_iterable(rows))
+    return matrix
+
+
+def _first_minima(cost: np.ndarray, finish: np.ndarray, spans: Sequence[int],
+                  ) -> list[int]:
+    """Per run of ``spans[i]`` consecutive requests (none empty): the index
+    of the first one attaining the run's minimum of ``(cost, finish)``."""
+    if not spans:
+        return []
+    begins = np.cumsum([0, *spans[:-1]])
+    contender = cost == np.repeat(np.minimum.reduceat(cost, begins), spans)
+    finish = np.where(contender, finish, INFINITY)
+    contender &= finish == np.repeat(np.minimum.reduceat(finish, begins), spans)
+    return np.minimum.reduceat(
+        np.where(contender, np.arange(len(cost)), len(cost)), begins).tolist()
+
+
 class _Search:
-    """Outcome of one bulk search: costs up front, route plans on demand."""
+    """Outcome of one bulk search: costs up front, route plans on demand.
 
-    __slots__ = ("cost", "finish", "winner", "table", "_plans", "_requests")
+    ``cost``, ``finish`` and ``winner`` (each request's winning permutation
+    row, for the requests a kernel pass decided) are indexed by request:
+    lists when the requests came as objects, arrays when they came as slot
+    rows, in which case ``request_of`` builds the object on demand.
+    """
 
-    def __init__(self, requests: Sequence[PlanRequest]) -> None:
-        self._requests = requests
-        self.cost: list[float] = [0.0] * len(requests)
-        self.finish: list[float] = [0.0] * len(requests)
-        self._plans: list[RoutePlan | None] = [None] * len(requests)
-        #: kernel results: each request's winning permutation row, and the
-        #: table :meth:`plan` replays it on
-        self.winner: list[int] = [0] * len(requests)
-        self.table: PlanningTable | None = None
+    __slots__ = ("cost", "finish", "winner", "table", "_plans", "_request_of")
+
+    def __init__(self, request_of: Callable[[int], PlanRequest], cost, finish,
+                 winner, table: PlanningTable | None) -> None:
+        self._request_of = request_of
+        self.cost = cost
+        self.finish = finish
+        self.winner = winner
+        #: what :meth:`plan` replays a winning row on
+        self.table = table
+        self._plans: dict[int, RoutePlan] = {}
 
     def set_plan(self, i: int, plan: RoutePlan) -> None:
         self._plans[i] = plan
@@ -92,9 +126,9 @@ class _Search:
         self.finish[i] = plan.evaluation.finish_time
 
     def plan(self, i: int) -> RoutePlan:
-        plan = self._plans[i]
+        plan = self._plans.get(i)
         if plan is None:
-            plan = self._plans[i] = self.table.route_plan(self._requests[i],
+            plan = self._plans[i] = self.table.route_plan(self._request_of(i),
                                                           self.winner[i])
         return plan
 
@@ -121,10 +155,15 @@ class CostModel:
 
     Route plans are searched in bulk (:meth:`make_batches`,
     :meth:`merge_costs`, :meth:`marginal_costs`): all requests of one call
-    that share a plan shape go through one pass of the array kernel.  The
-    single-request methods are the same code with a list of one; a lone
-    request too small for the kernel is scanned in Python instead, chosen by
-    its permutation count.
+    that share a plan shape go through one pass of the array kernel.  Inside
+    a planning scope a request of those calls is a row of the table's order
+    slots from start to finish (:meth:`_search_rows`); a
+    :class:`~repro.orders.route_plan.PlanRequest` object is built of it only
+    where a scalar planner takes it and when somebody reads its route plan.
+    Outside a scope, and in the single-request methods (the bulk ones with
+    lists of one), requests are objects (:meth:`_search`); a lone request
+    too small for the kernel is scanned in Python instead, chosen by its
+    permutation count.
     """
 
     def __init__(self, oracle: DistanceOracle, planner: str = "auto",
@@ -218,44 +257,67 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # route-plan search
     # ------------------------------------------------------------------ #
-    def _search(self, requests: Sequence[PlanRequest]) -> _Search:
-        """Search the quickest route plan of every request.
-
-        Requests for the insertion heuristic, for the scalar reference
+    def _plan_alone(self, request: PlanRequest, distance) -> RoutePlan | None:
+        """The plan of a request no kernel pass can take, ``None`` if one can:
+        requests for the insertion heuristic, for the scalar reference
         (``vectorized=False``) and for exhaustive plans beyond the auto limit
-        (whose permutation matrix would not fit) are planned one by one.
-        The rest are grouped by plan shape and each group takes one pass of
-        the array kernel — unless all of them together come to no more than
+        (whose permutation matrix would not fit) are planned one by one."""
+        new_orders, start_node, start_time, onboard = request
+        stop_count = 2 * len(new_orders) + len(onboard)
+        if self._planner == "insertion" or (
+                self._planner == "auto" and stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT):
+            return insertion_route_plan(new_orders, start_node, start_time, distance,
+                                        self.sdt, onboard_orders=onboard)
+        if not self._vectorized or stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT:
+            return best_route_plan(new_orders, start_node, start_time, distance,
+                                   self.sdt, onboard_orders=onboard)
+        return None
+
+    def _kernel_pass(self, table: PlanningTable, new: np.ndarray, onboard: np.ndarray,
+                     start: np.ndarray, start_time: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One pass of the array kernel over same-shape slot rows, accounted
+        for: summary mode only counts (:attr:`search_stats`), trace mode adds
+        one ``cost.route_plan`` latency sample."""
+        tracer = current_tracer()
+        began = time.perf_counter() if tracer.keep_records else 0.0
+        result = route_plan_kernel(table, new, onboard, start, start_time)
+        if tracer.keep_records:
+            tracer.observe("cost.route_plan", time.perf_counter() - began)
+        shape = (new.shape[1], onboard.shape[1])
+        stats = self.search_stats
+        stats.kernel_passes += 1
+        stats.kernel_rows += permutation_rows(shape) * len(start)
+        stats.kernel_steps += prefix_steps(shape) * len(start)
+        return result
+
+    def _search(self, requests: Sequence[PlanRequest]) -> _Search:
+        """Search the quickest route plan of every request, given as objects.
+
+        This is how the single-request methods search, and the bulk ones
+        where no planning table is open.  Requests only a scalar planner
+        takes (:meth:`_plan_alone`) are planned one by one.  The rest are
+        grouped by plan shape and each group takes one pass of the array
+        kernel — unless all of them together come to no more than
         :data:`~repro.orders.route_plan.SCALAR_SCAN_ROWS` permutations, the
         size of one lone small request (Greedy, Reyes, the engine's
         reshuffle), which a Python scan finishes before the kernel has set
-        up.  Summary mode only counts (:attr:`plan_calls`,
-        :attr:`search_stats`); trace mode adds one ``cost.route_plan``
-        latency sample per kernel pass.
+        up.
         """
         self.plan_calls += len(requests)
-        search = _Search(requests)
         table = self._table
+        search = _Search(requests.__getitem__, [0.0] * len(requests),
+                         [0.0] * len(requests), [0] * len(requests), table)
         distance = table.distance if table is not None else self._oracle.distance
         shapes: dict[tuple[int, int], list[int]] = {}
         rows = 0
         for i, request in enumerate(requests):
-            new_orders, start_node, start_time, onboard = request
-            stop_count = 2 * len(new_orders) + len(onboard)
-            if self._planner == "insertion" or (
-                    self._planner == "auto"
-                    and stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT):
-                search.set_plan(i, insertion_route_plan(
-                    new_orders, start_node, start_time, distance, self.sdt,
-                    onboard_orders=onboard))
-            elif not self._vectorized or stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT:
-                search.set_plan(i, best_route_plan(
-                    new_orders, start_node, start_time, distance, self.sdt,
-                    onboard_orders=onboard))
+            plan = self._plan_alone(request, distance)
+            if plan is not None:
+                search.set_plan(i, plan)
             else:
-                shape = (len(new_orders), len(onboard))
-                shapes.setdefault(shape, []).append(i)
-                rows += permutation_rows(shape)
+                shapes.setdefault(request.shape, []).append(i)
+                rows += permutation_rows(request.shape)
         if rows <= SCALAR_SCAN_ROWS:
             for members in shapes.values():
                 for i in members:
@@ -265,26 +327,73 @@ class CostModel:
         if table is None:
             # A bulk search outside any scope: a table of its own.
             bulk = [requests[i] for members in shapes.values() for i in members]
-            table = PlanningTable(
+            table = search.table = PlanningTable(
                 self._oracle,
                 (order for r in bulk for order in r.new_orders + r.onboard_orders),
                 (r.start_node for r in bulk), self.sdt)
-        search.table = table
-        stats = self.search_stats
-        tracer = current_tracer()
-        for shape, members in shapes.items():
-            began = time.perf_counter() if tracer.keep_records else 0.0
-            winner, cost, finish = best_route_plan_vectorized(
-                [requests[i] for i in members], table)
-            if tracer.keep_records:
-                tracer.observe("cost.route_plan", time.perf_counter() - began)
-            stats.kernel_passes += 1
-            stats.kernel_rows += permutation_rows(shape) * len(members)
+        for members in shapes.values():
+            winner, cost, finish = self._kernel_pass(
+                table, *request_rows([requests[i] for i in members], table))
             for i, w, c, f in zip(members, winner.tolist(), cost.tolist(),
                                   finish.tolist(), strict=True):
                 search.winner[i] = w
                 search.cost[i] = c
                 search.finish[i] = f
+        return search
+
+    def _search_rows(self, table: PlanningTable, new: np.ndarray, onboard: np.ndarray,
+                     start: np.ndarray, now: float) -> _Search:
+        """:meth:`_search` for requests given as rows of the table's order slots.
+
+        Request ``r`` plans the orders of ``new[r]`` (to pick up and drop
+        off) and of ``onboard[r]`` (to drop off) from the node of index
+        ``start[r]`` at time ``now``; rows shorter than the matrix is wide
+        end in ``-1``.  Same decisions, same counts: the rows of one shape
+        take one kernel pass, and a :class:`PlanRequest` is only built of a
+        row that a scalar planner or the Python scan takes — and of the rows
+        whose route plan is read.
+        """
+        count = len(start)
+        self.plan_calls += count
+        num_new, num_onboard = (new >= 0).sum(axis=1), (onboard >= 0).sum(axis=1)
+
+        def request_of(i: int) -> PlanRequest:
+            return table.request(new[i, :num_new[i]].tolist(),
+                                 onboard[i, :num_onboard[i]].tolist(),
+                                 start[i], now)
+
+        search = _Search(request_of, np.zeros(count), np.zeros(count),
+                         np.zeros(count, dtype=np.intp), table)
+        if self._planner == "insertion":
+            alone = np.arange(count)
+        else:
+            alone = np.flatnonzero(2 * num_new + num_onboard
+                                   > _AUTO_EXHAUSTIVE_STOP_LIMIT)
+        for i in alone.tolist():
+            search.set_plan(i, self._plan_alone(request_of(i), table.distance))
+        if len(alone) == count:
+            return search
+        # (An exhaustive plan has at most eight stops, so the two counts of a
+        # shape fit one code.)
+        code = num_new * 16 + num_onboard
+        code[alone] = -1
+        groups = [(divmod(c, 16), np.flatnonzero(code == c))
+                  for c in np.unique(code).tolist() if c >= 0]
+        if count - len(alone) <= SCALAR_SCAN_ROWS and sum(
+                permutation_rows(shape) * len(members)
+                for shape, members in groups) <= SCALAR_SCAN_ROWS:
+            for _, members in groups:
+                for i in members.tolist():
+                    search.set_plan(i, scan_route_plan(request_of(i), table.distance,
+                                                       self.sdt))
+            return search
+        for (width, carried), members in groups:
+            winner, cost, finish = self._kernel_pass(
+                table, new[members, :width], onboard[members, :carried],
+                start[members], np.full(len(members), now))
+            search.winner[members] = winner
+            search.cost[members] = cost
+            search.finish[members] = finish
         return search
 
     # ------------------------------------------------------------------ #
@@ -388,37 +497,100 @@ class CostModel:
             memo.update(zip(missing, search.cost, strict=True))
         return memo
 
-    def marginal_costs(self, pairs: Sequence[tuple[Sequence[Order], Vehicle]],
-                       now: float) -> tuple[list[float], Callable[[int], RoutePlan]]:
-        """``mCost(pi, v)`` (Eq. 7) of many ``(orders, vehicle)`` pairs at once.
+    def marginal_costs(self, order_sets: Sequence[Sequence[Order]],
+                       vehicles: Sequence[Vehicle], set_idx: Sequence[int],
+                       vehicle_idx: Sequence[int], now: float,
+                       ) -> tuple[np.ndarray, Callable[[int], RoutePlan]]:
+        """``mCost(pi, v)`` (Eq. 7) of many pairs of an order set and a vehicle.
 
-        Returns the marginal cost of every pair — ``inf`` when the capacity
-        constraints of Def. 4 are violated or some location is unreachable
-        from the vehicle — and a function giving, on demand, the route plan
-        that realises the finite cost of pair ``i`` (a FoodGraph wants every
-        weight but only the plans of the pairs it ends up matching).  All
-        "with" plans go through one bulk search, then the "without" plans of
-        the vehicles that still need one through another.
+        Pair ``i`` offers ``order_sets[set_idx[i]]`` to
+        ``vehicles[vehicle_idx[i]]``.  Returns the marginal cost of every
+        pair — ``inf`` when the capacity constraints of Def. 4 are violated
+        or some location is unreachable from the vehicle — and a function
+        giving, on demand, the route plan that realises the finite cost of
+        pair ``i`` (a FoodGraph wants every weight but only the plans of the
+        pairs it ends up matching).  All "with" plans go through one bulk
+        search, then the "without" plans of the vehicles that still need one
+        through another.
+
+        Inside a planning scope no pair becomes a Python object: every
+        vehicle and every order set is read once, into rows of the table's
+        order slots, Def. 4 is one array comparison, and an accepted pair's
+        request is the vehicle's pending row followed by the set's row.
         """
-        weights = [INFINITY] * len(pairs)
+        set_idx = np.asarray(set_idx, dtype=np.intp)
+        vehicle_idx = np.asarray(vehicle_idx, dtype=np.intp)
+        table = self._table
+        if table is None:
+            return self._marginal_costs_of_requests(
+                order_sets, vehicles, set_idx.tolist(), vehicle_idx.tolist(), now)
+        slot, index = table.slot, table.index
+        sets = _padded([[slot[order.order_id] for order in orders]
+                        for orders in order_sets])
+        set_size = np.array([len(orders) for orders in order_sets])
+        set_items = np.array([sum(order.items for order in orders)
+                              for orders in order_sets])
+        pending = _padded([[slot[order.order_id] for order in vehicle.pending_orders()]
+                           for vehicle in vehicles])
+        onboard = _padded([[slot[order.order_id] for order in vehicle.onboard_orders()]
+                           for vehicle in vehicles])
+        node = np.array([index[vehicle.node] for vehicle in vehicles], dtype=np.intp)
+        room = np.array([(vehicle.max_orders - vehicle.order_count,
+                          vehicle.max_items - vehicle.item_load)
+                         for vehicle in vehicles]).reshape(len(vehicles), 2)
+        accepted = np.flatnonzero((set_size[set_idx] <= room[vehicle_idx, 0])
+                                  & (set_items[set_idx] <= room[vehicle_idx, 1]))
+        s, v = set_idx[accepted], vehicle_idx[accepted]
+        # The vehicle's pending row, then the set's: a stable sort of the
+        # padding to the end closes the gap a short pending row leaves.
+        new = np.concatenate((pending[v], sets[s]), axis=1)
+        new = np.take_along_axis(new, np.argsort(new < 0, axis=1, kind="stable"), axis=1)
+        search = self._search_rows(table, new, onboard[v], node[v], now)
+        reachable = np.flatnonzero(search.cost != INFINITY)
+        v = v[reachable]
+        # Cost(v, O_v) of the vehicles the scope's memo lacks, in one search.
+        memo = self._base_costs
+        keys = {j: (vehicles[j].vehicle_id, now) for j in dict.fromkeys(v.tolist())}
+        missing = np.array([j for j, key in keys.items() if key not in memo],
+                           dtype=np.intp)
+        self.search_stats.base_plans_reused += len(v) - len(missing)
+        if len(missing):
+            found = self._search_rows(table, pending[missing], onboard[missing],
+                                      node[missing], now)
+            memo.update(zip((keys[j] for j in missing.tolist()), found.cost.tolist(),
+                            strict=True))
+        base = np.zeros(len(vehicles))
+        base[list(keys)] = [memo[key] for key in keys.values()]
+        weights = np.full(len(set_idx), INFINITY)
+        weights[accepted[reachable]] = search.cost[reachable] - base[v]
+        return weights, lambda i: search.plan(int(np.searchsorted(accepted, i)))
+
+    def _marginal_costs_of_requests(self, order_sets, vehicles, set_idx: list[int],
+                                    vehicle_idx: list[int], now: float,
+                                    ) -> tuple[np.ndarray, Callable[[int], RoutePlan]]:
+        """:meth:`marginal_costs` outside a planning scope: one request object
+        per accepted pair."""
+        weights = np.full(len(set_idx), INFINITY)
         request_of: dict[int, int] = {}
         carried: dict[int, tuple[tuple[Order, ...], tuple[Order, ...]]] = {}
         requests = []
-        for i, (orders, vehicle) in enumerate(pairs):
+        for i, (s, v) in enumerate(zip(set_idx, vehicle_idx, strict=True)):
+            orders, vehicle = order_sets[s], vehicles[v]
             if not vehicle.can_accept(orders):
                 continue
-            held = carried.get(vehicle.vehicle_id)
+            held = carried.get(v)
             if held is None:
-                held = carried[vehicle.vehicle_id] = (
-                    tuple(vehicle.pending_orders()), tuple(vehicle.onboard_orders()))
+                held = carried[v] = (tuple(vehicle.pending_orders()),
+                                     tuple(vehicle.onboard_orders()))
             request_of[i] = len(requests)
             requests.append(PlanRequest(held[0] + tuple(orders), vehicle.node,
                                         now, held[1]))
         search = self._search(requests)
         reachable = [i for i, j in request_of.items() if search.cost[j] != INFINITY]
-        base = self._base_costs_of((pairs[i][1] for i in reachable), now)
+        base = self._base_costs_of((vehicles[vehicle_idx[i]] for i in reachable), now)
         for i in reachable:
-            weights[i] = search.cost[request_of[i]] - base[(pairs[i][1].vehicle_id, now)]
+            weights[i] = (search.cost[request_of[i]]
+                          - base[(vehicles[vehicle_idx[i]].vehicle_id, now)])
         return weights, lambda i: search.plan(request_of[i])
 
     def marginal_cost(self, orders: Sequence[Order], vehicle: Vehicle, now: float,
@@ -428,7 +600,8 @@ class CostModel:
         Returns ``(inf, None)`` when the capacity constraints of Def. 4 are
         violated or when some location is unreachable from the vehicle.
         """
-        (weight,), plan_of = self.marginal_costs([(orders, vehicle)], now)
+        weights, plan_of = self.marginal_costs([orders], [vehicle], [0], [0], now)
+        weight = weights.item()
         return weight, (plan_of(0) if weight != INFINITY else None)
 
     # ------------------------------------------------------------------ #
@@ -442,23 +615,32 @@ class CostModel:
         location is the first stop of the batch's optimal route plan
         (Sec. IV-B1); we realise this by trying each member restaurant as
         the virtual start and keeping the cheapest resulting plan.  Every
-        start of every set is one request of a single bulk search.
+        start of every set is one request of a single bulk search — inside a
+        planning scope, one copy of the set's row of order slots.
         """
-        members: list[tuple[Order, ...]] = []
-        requests: list[PlanRequest] = []
-        ends: list[int] = []
-        for orders in order_sets:
-            ordered = tuple(sorted(orders, key=lambda o: o.order_id))
-            members.append(ordered)
-            # Set iteration order decides ties between starts, as it always has.
-            requests.extend(PlanRequest(ordered, start, now)
-                            for start in {order.restaurant_node for order in ordered})
-            ends.append(len(requests))
-        search = self._search(requests)
-        keys = list(zip(search.cost, search.finish, strict=True))
-        best = [min(range(begin, end), key=keys.__getitem__)
-                for begin, end in zip([0] + ends, ends, strict=False)]
-        return ([search.cost[j] for j in best],
+        members = [tuple(sorted(orders, key=lambda o: o.order_id))
+                   for orders in order_sets]
+        # Set iteration order decides ties between starts, as it always has.
+        starts = [list({order.restaurant_node for order in ordered})
+                  for ordered in members]
+        table = self._table
+        if table is None:
+            search = self._search([PlanRequest(ordered, start, now)
+                                   for ordered, nodes in zip(members, starts, strict=True)
+                                   for start in nodes])
+        else:
+            slot, index = table.slot, table.index
+            sets = _padded([[slot[order.order_id] for order in ordered]
+                            for ordered in members])
+            of_set = np.repeat(np.arange(len(members)), [len(nodes) for nodes in starts])
+            search = self._search_rows(
+                table, sets[of_set], np.empty((len(of_set), 0), dtype=np.intp),
+                np.array([index[start] for nodes in starts for start in nodes],
+                         dtype=np.intp), now)
+        cost = np.asarray(search.cost)
+        best = _first_minima(cost, np.asarray(search.finish),
+                             [len(nodes) for nodes in starts])
+        return (cost[best].tolist(),
                 lambda i: Batch(members[i], search.plan(best[i])))
 
     def make_batches(self, order_sets: Sequence[Sequence[Order]],

@@ -291,6 +291,64 @@ def permutation_rows(shape: tuple[int, int]) -> int:
     return len(_valid_permutations(*shape))
 
 
+class PrefixLevel(NamedTuple):
+    """The distinct valid stop-sequence prefixes of one length, as index arrays.
+
+    Prefix ``i`` of the level is prefix ``parent[i]`` of the level before
+    (the empty prefix, 0, for the first level) followed by base-layout stop
+    ``stop[i]``; ``leg[i]`` addresses the leg into that stop in a request's
+    ``(size + 1) * size`` leg table (origin-major, origin 0 being the start
+    node and origin ``j + 1`` stop ``j``).
+    """
+
+    parent: np.ndarray
+    stop: np.ndarray
+    leg: np.ndarray
+
+
+# The valid permutations of a shape as a tree of shared prefixes: walking it
+# level by level evaluates every stop of every distinct prefix once instead of
+# once per permutation that starts with it.
+_PREFIX_CACHE: dict[tuple[int, int], list[PrefixLevel]] = {}
+
+
+def _prefix_levels(num_new: int, num_onboard: int) -> list[PrefixLevel]:
+    """The shape's prefix tree, one :class:`PrefixLevel` per stop position.
+
+    Prefixes are numbered by first appearance in the permutation matrix, so
+    prefix ``i`` of the last level is row ``i`` of
+    :func:`_valid_permutations`.
+    """
+    key = (num_new, num_onboard)
+    cached = _PREFIX_CACHE.get(key)
+    if cached is not None:
+        return cached
+    perms = _valid_permutations(num_new, num_onboard)
+    size = perms.shape[1]
+    levels: list[PrefixLevel] = []
+    prefix_of_row = np.zeros(len(perms), dtype=np.intp)
+    origin_of_row = np.zeros(len(perms), dtype=np.intp)
+    for pos in range(size):
+        stop_of_row = perms[:, pos]
+        _, first, inverse = np.unique(prefix_of_row * size + stop_of_row,
+                                      return_index=True, return_inverse=True)
+        by_appearance = np.argsort(first)
+        number = np.empty_like(by_appearance)
+        number[by_appearance] = np.arange(len(by_appearance))
+        rows = first[by_appearance]
+        levels.append(PrefixLevel(prefix_of_row[rows], stop_of_row[rows],
+                                  origin_of_row[rows] * size + stop_of_row[rows]))
+        prefix_of_row = number[inverse]
+        origin_of_row = stop_of_row + 1
+    _PREFIX_CACHE[key] = levels
+    return levels
+
+
+def prefix_steps(shape: tuple[int, int]) -> int:
+    """Number of nodes of a plan shape's prefix tree (stops walked per request)."""
+    return sum(len(level.stop) for level in _prefix_levels(*shape))
+
+
 class PlanningTable:
     """What the bulk search gathers from: legs and stop attributes, as arrays.
 
@@ -313,6 +371,9 @@ class PlanningTable:
             (node for order in orders
              for node in (order.restaurant_node, order.customer_node)),
             start_nodes)))
+        #: slot -> order and node index -> node, the inverses of ``slot`` / ``index``
+        self.orders = orders
+        self.nodes = nodes
         self.index: dict[int, int] = {node: i for i, node in enumerate(nodes)}
         self.static = oracle.static_distance_matrix(nodes, nodes)
         self._rows: list[list[float]] | None = None
@@ -359,6 +420,13 @@ class PlanningTable:
                                    [index[node] for node in targets])]
         return block * self._multiplier(t)
 
+    def request(self, new: Sequence[int], onboard: Sequence[int], start: int,
+                start_time: float) -> PlanRequest:
+        """The :class:`PlanRequest` a row of order slots and a node index stand for."""
+        orders = self.orders
+        return PlanRequest(tuple(orders[i] for i in new), self.nodes[start],
+                           start_time, tuple(orders[i] for i in onboard))
+
     def stops(self, request: PlanRequest) -> list[RouteStop]:
         """The request's stops in base layout (what a permutation row indexes)."""
         slot = self.slot
@@ -385,80 +453,83 @@ class PlanningTable:
         return RoutePlan(stops, request.start_node, request.start_time, evaluation)
 
 
-def best_route_plan_vectorized(requests: Sequence[PlanRequest], table: PlanningTable,
-                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def route_plan_kernel(table: PlanningTable, new: np.ndarray, onboard: np.ndarray,
+                      start: np.ndarray, start_time: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Array-kernel equivalent of :func:`best_route_plan` for R same-shape requests.
 
-    Rows are requests x valid permutations of the shared ``(num_new,
-    num_onboard)`` shape: the stop walk runs as a short loop over stop
-    positions with element-wise operations across all rows, legs gathered
-    from ``table.static``.  Every element-wise operation performs the
-    identical IEEE arithmetic in the identical order as
-    :func:`evaluate_plan`, and each request's winner is the first
+    A request is a row of order slots of ``table``: ``new[r]`` the orders
+    still to be picked up, ``onboard[r]`` those already on board, ``start[r]``
+    the index of its start node in the table and ``start_time[r]`` its clock.
+
+    The walk goes down the shape's prefix tree (:func:`_prefix_levels`) one
+    stop position at a time, in a stop-major layout: one row per distinct
+    prefix, one column per request, so taking a level's rows by parent prefix
+    or by stop copies whole rows.  A prefix shared by many permutations is
+    walked once, and since the last level is the permutation matrix itself
+    every permutation ends up with the clock and XDT sum it gets when walked
+    alone: each element goes through the identical IEEE operations in the
+    identical order as in :func:`evaluate_plan`: ``clock + leg *
+    multiplier``; the wait until the food is ready, which at a drop-off is
+    "ready" at ``-inf`` and so waits for nothing; ``max(0, (clock - placed)
+    - sdt)`` summed onto ``+0.0`` in stop order, which at a pick-up is
+    "placed" at ``+inf`` and so adds ``0.0``.  Each request's winner is the first
     permutation (in ``itertools.permutations`` order) attaining the
-    lexicographic minimum of ``(total_xdt, finish_time)`` — exactly the
-    plan the scalar scan keeps.  Requests are walked in chunks of at most
-    :data:`KERNEL_ROW_BUDGET` rows.
+    lexicographic minimum of ``(total_xdt, finish_time)`` — exactly the plan
+    the scalar scan keeps.  Requests are walked in chunks of at most
+    :data:`KERNEL_ROW_BUDGET` permutations.
 
     Returns ``(winner, total_xdt, finish_time)``, one entry per request;
     ``winner`` is a row of the shape's permutation matrix, which
     :meth:`PlanningTable.route_plan` turns into the :class:`RoutePlan`.  The
     property tests compare the result with the scalar scan per request.
     """
-    num_new, num_onboard = requests[0].shape
-    perms = _valid_permutations(num_new, num_onboard)          # (P, S)
-    count, size = len(requests), 2 * num_new + num_onboard
+    count = len(start)
+    num_new, num_onboard = new.shape[1], onboard.shape[1]
+    size = 2 * num_new + num_onboard
     winner = np.zeros(count, dtype=np.intp)
     best_xdt = np.zeros(count, dtype=np.float64)
-    best_finish = np.array([r.start_time for r in requests], dtype=np.float64)
+    best_finish = np.array(start_time, dtype=np.float64)
     if size == 0:
         return winner, best_xdt, best_finish
 
-    slot, index = table.slot, table.index
-    order_of_stop = np.empty((count, size), dtype=np.intp)
-    order_of_stop[:, 0:2 * num_new:2] = order_of_stop[:, 1:2 * num_new:2] = np.array(
-        [[slot[o.order_id] for o in r.new_orders] for r in requests],
-        dtype=np.intp).reshape(count, num_new)
-    order_of_stop[:, 2 * num_new:] = np.array(
-        [[slot[o.order_id] for o in r.onboard_orders] for r in requests],
-        dtype=np.intp).reshape(count, num_onboard)
-    is_pickup = np.zeros(size, dtype=bool)
-    is_pickup[0:2 * num_new:2] = True
-    # Per-stop attributes in base layout, (R, S).
-    nodes = np.where(is_pickup, table.pickup_node[order_of_stop],
-                     table.dropoff_node[order_of_stop])
-    ready = table.ready[order_of_stop]
+    levels = _prefix_levels(num_new, num_onboard)
+    pickups = slice(0, 2 * num_new, 2)
+    # Per-stop attributes in base layout, stop-major: (S, R).
+    order_of_stop = np.empty((size, count), dtype=np.intp)
+    order_of_stop[pickups] = order_of_stop[1:2 * num_new:2] = new.T
+    order_of_stop[2 * num_new:] = onboard.T
+    nodes = table.dropoff_node[order_of_stop]
+    nodes[pickups] = table.pickup_node[new.T]
+    ready = np.full((size, count), -INFINITY)
+    ready[pickups] = table.ready[new.T]
     placed = table.placed[order_of_stop]
+    placed[pickups] = INFINITY
     sdt = table.sdt[order_of_stop]
-    start = np.array([index[r.start_node] for r in requests], dtype=np.intp)
+    origins = np.concatenate((start[None, :], nodes))
     static, multipliers = table.static, table.multipliers
 
-    step = max(1, KERNEL_ROW_BUDGET // len(perms))
+    step = max(1, KERNEL_ROW_BUDGET // len(levels[-1].stop))
     for lo in range(0, count, step):
         hi = min(lo + step, count)
-        clock = np.repeat(best_finish[lo:hi, None], len(perms), axis=1)   # (r, P)
+        legs = static[origins[:, None, lo:hi], nodes[None, :, lo:hi]].reshape(
+            (size + 1) * size, hi - lo)
+        clock = best_finish[None, lo:hi]
         total_xdt = np.zeros_like(clock)
-        here = start[lo:hi, None]
-        for pos in range(size):
-            stop = perms[:, pos]
-            prev, here = here, nodes[lo:hi, stop]
-            leg = static[prev, here]
-            # Slot multiplier of each row's current clock (finite clocks
-            # only; rows that already hit an unreachable leg stay at infinity
+        for parent, stop, leg in levels:
+            # Slot multiplier of each prefix's clock (finite clocks only;
+            # prefixes that already hit an unreachable leg stay at infinity
             # and are forced to the scalar sentinel below).
             finite = np.isfinite(clock)
             slots = (np.where(finite, clock, 0.0) // 3600.0).astype(np.int64) % 24
-            clock = clock + leg * multipliers[slots]
-            pickups = is_pickup[stop]
-            ready_here = ready[lo:hi, stop]
-            waits = pickups & (clock < ready_here)
-            clock = np.where(waits, ready_here, clock)
-            # inf - inf (an unreachable row against an unreachable order's SDT)
-            # is NaN on a row the sentinel below overwrites anyway.
+            clock = clock[parent] + legs[leg] * multipliers[slots][parent]
+            clock = np.maximum(clock, ready[stop, lo:hi])
+            # inf - inf (a pick-up's placement time against an unreachable
+            # prefix's clock or an unreachable order's SDT) is NaN where the
+            # sentinel below overwrites anyway.
             with np.errstate(invalid="ignore"):
-                xdt_here = np.maximum(
-                    0.0, (clock - placed[lo:hi, stop]) - sdt[lo:hi, stop])
-            total_xdt = total_xdt + np.where(pickups, 0.0, xdt_here)
+                total_xdt = total_xdt[parent] + np.maximum(
+                    0.0, (clock - placed[stop, lo:hi]) - sdt[stop, lo:hi])
         invalid = ~np.isfinite(clock)
         if invalid.any():
             # The scalar evaluation short-circuits an unreachable leg to an
@@ -467,14 +538,34 @@ def best_route_plan_vectorized(requests: Sequence[PlanRequest], table: PlanningT
             clock = np.where(invalid, INFINITY, clock)
         # First permutation attaining the lexicographic minimum of (xdt,
         # finish): identical to the scalar scan's keep-first-strictly-smaller
-        # rule (argmax returns the first True of a row).
-        xdt_min = total_xdt.min(axis=1)
-        contenders = total_xdt == xdt_min[:, None]
-        finish_min = np.where(contenders, clock, INFINITY).min(axis=1)
-        winner[lo:hi] = (contenders & (clock == finish_min[:, None])).argmax(axis=1)
+        # rule (argmax returns the first True of a column).
+        xdt_min = total_xdt.min(axis=0)
+        contenders = total_xdt == xdt_min
+        finish_min = np.where(contenders, clock, INFINITY).min(axis=0)
+        winner[lo:hi] = (contenders & (clock == finish_min)).argmax(axis=0)
         best_xdt[lo:hi] = xdt_min
         best_finish[lo:hi] = finish_min
     return winner, best_xdt, best_finish
+
+
+def request_rows(requests: Sequence[PlanRequest], table: PlanningTable,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Same-shape requests as the ``(new, onboard, start, start_time)`` slot
+    rows :func:`route_plan_kernel` takes."""
+    slot, index = table.slot, table.index
+    num_new, num_onboard = requests[0].shape
+    return (np.array([[slot[o.order_id] for o in r.new_orders] for r in requests],
+                     dtype=np.intp).reshape(len(requests), num_new),
+            np.array([[slot[o.order_id] for o in r.onboard_orders] for r in requests],
+                     dtype=np.intp).reshape(len(requests), num_onboard),
+            np.array([index[r.start_node] for r in requests], dtype=np.intp),
+            np.array([r.start_time for r in requests], dtype=np.float64))
+
+
+def best_route_plan_vectorized(requests: Sequence[PlanRequest], table: PlanningTable,
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`route_plan_kernel` for a list of same-shape :class:`PlanRequest`."""
+    return route_plan_kernel(table, *request_rows(requests, table))
 
 
 def scan_route_plan(request: PlanRequest, distance, sdt_lookup) -> RoutePlan:
@@ -543,9 +634,12 @@ __all__ = [
     "best_route_plan",
     "PlanRequest",
     "PlanningTable",
+    "route_plan_kernel",
+    "request_rows",
     "best_route_plan_vectorized",
     "scan_route_plan",
     "permutation_rows",
+    "prefix_steps",
     "KERNEL_ROW_BUDGET",
     "SCALAR_SCAN_ROWS",
     "insertion_route_plan",

@@ -1,7 +1,11 @@
 """Bulk planning must be the per-pair pipeline, decision for decision.
 
-Three equivalences and one lifetime guarantee:
+Four equivalences and one lifetime guarantee:
 
+* inside a planning scope :meth:`CostModel.marginal_costs`,
+  :meth:`CostModel.make_batches` and :meth:`CostModel.merge_costs` plan on
+  rows of order slots; they answer what one scalar search per pair, per
+  order set and per merge answers, ties between a batch's starts included;
 * the round-based :func:`build_sparsified_foodgraph` evaluates exactly the
   pairs the sequential ``vectorized=False`` loop does — same edges in the
   same insertion order, same ``cost_evaluations`` and ``nodes_expanded`` —
@@ -23,6 +27,7 @@ import dataclasses
 import gc
 import heapq
 import itertools
+import math
 import random
 import weakref
 
@@ -40,6 +45,7 @@ from repro.network.generators import random_geometric_city
 from repro.network.graph import TimeProfile
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
+from repro.orders.route_plan import best_route_plan
 from repro.orders.vehicle import Vehicle
 
 NOW = 45_000.0
@@ -117,6 +123,168 @@ def _edges_in_order(graph):
 
 
 # --------------------------------------------------------------------------- #
+# (a) slot rows vs one scalar search per pair / order set / merge
+# --------------------------------------------------------------------------- #
+def _mixed_fleet(rng: random.Random, nodes, model: CostModel):
+    """Idle, pending-only, onboard-only, mixed and full vehicles; tight item
+    caps; and one roomy enough for plans of more than eight stops, which
+    only the scalar planners take."""
+    fleet = []
+    for v, (carried, picked_up, max_orders, max_items) in enumerate([
+            (0, 0, 3, 10), (0, 0, 3, 2), (1, 0, 3, 10), (2, 0, 3, 10),
+            (1, 1, 3, 10), (2, 2, 3, 10), (2, 1, 3, 10), (2, 1, 3, 6),
+            (3, 1, 3, 10), (3, 1, 5, 30), (3, 3, 5, 30)]):
+        vehicle = Vehicle(vehicle_id=v, node=rng.choice(nodes),
+                          max_orders=max_orders, max_items=max_items)
+        orders = _orders(rng, nodes, carried, base_id=1000 + 10 * v)
+        if orders:
+            vehicle.assign(orders, model.plan_for_vehicle(vehicle, orders, NOW))
+            for order in rng.sample(orders, picked_up):
+                vehicle.mark_picked_up(order.order_id)
+        fleet.append(vehicle)
+    rng.shuffle(fleet)
+    return fleet
+
+
+def _effort(model: CostModel):
+    stats = model.search_stats
+    return (model.plan_calls, stats.base_plans_reused)
+
+
+class TestIndexedMarginalCosts:
+    @given(seed=st.integers(min_value=0, max_value=5_000),
+           planner=st.sampled_from(["auto", "auto", "insertion"]))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_one_marginal_cost_per_pair(self, seed, planner):
+        rng = random.Random(seed)
+        oracle = _oracle(seed % 5)
+        nodes = oracle.network.nodes
+        model = CostModel(oracle, planner=planner)
+        reference = CostModel(oracle, planner=planner, vectorized=False)
+        pool = _orders(rng, nodes, 9, base_id=0)
+        order_sets = [pool[0:1], pool[1:2], pool[2:4], pool[4:6], pool[6:9]]
+        vehicles = _mixed_fleet(rng, nodes, model)
+        # Some pairs twice, in no particular order.
+        pairs = rng.choices(list(itertools.product(range(len(order_sets)),
+                                                   range(len(vehicles)))),
+                            k=rng.choice((1, 7, 80)))
+        set_idx, vehicle_idx = zip(*pairs, strict=True)
+
+        before = _effort(model)
+        with model.planning_scope(pool, vehicles):
+            assert model._table is not None
+            weights, plan_of = model.marginal_costs(order_sets, vehicles, set_idx,
+                                                    vehicle_idx, NOW)
+        spent = tuple(after - start for after, start in
+                      zip(_effort(model), before, strict=True))
+        # The same call on request objects (no scope, no table) ...
+        before = _effort(reference)
+        listed, listed_plan_of = reference.marginal_costs(order_sets, vehicles, set_idx,
+                                                          vehicle_idx, NOW)
+        assert spent == tuple(after - start for after, start in
+                              zip(_effort(reference), before, strict=True))
+        assert weights.tolist() == listed.tolist()
+        # ... and one pair at a time.
+        refused = 0
+        for i, (s, v) in enumerate(pairs):
+            weight, plan = reference.marginal_cost(order_sets[s], vehicles[v], NOW)
+            assert weights[i] == weight
+            refused += not vehicles[v].can_accept(order_sets[s])
+            if plan is not None:
+                for found in (plan_of(i), listed_plan_of(i)):
+                    assert (found.stops, found.start_node, found.start_time,
+                            found.evaluation) == (
+                        plan.stops, plan.start_node, plan.start_time, plan.evaluation)
+        if len(pairs) == 80:
+            assert 0 < refused < 80
+            assert any(len(order_sets[s]) + vehicles[v].order_count > 4
+                       and vehicles[v].can_accept(order_sets[s]) for s, v in pairs)
+
+    def test_no_pair_is_an_empty_call(self):
+        oracle = _oracle(0)
+        model = CostModel(oracle)
+        vehicle = Vehicle(vehicle_id=0, node=oracle.network.nodes[0])
+        with model.planning_scope([], [vehicle]):
+            weights, _ = model.marginal_costs([], [vehicle], [], [], NOW)
+        assert weights.tolist() == [] and model.plan_calls == 0
+
+
+def _batch_reference(orders, oracle, sdt_lookup):
+    """``make_batch`` as the paper words it: every member restaurant as the
+    virtual start, each searched alone, the first cheapest kept."""
+    ordered = tuple(sorted(orders, key=lambda o: o.order_id))
+    plans = [best_route_plan(ordered, start, NOW, oracle.distance, sdt_lookup)
+             for start in {order.restaurant_node for order in ordered}]
+    keys = [(plan.cost, plan.evaluation.finish_time) for plan in plans]
+    return plans[keys.index(min(keys))], keys
+
+
+def _slow_kitchens(rng: random.Random, nodes, count: int, base_id: int):
+    """Orders ready at one common time long after any vehicle can be there:
+    whichever restaurant a batch's plan starts from, it waits there, so its
+    starts tie in both cost and finish."""
+    return [dataclasses.replace(order, placed_at=NOW - 60.0, prep_time=7200.0)
+            for order in _orders(rng, nodes, count, base_id)]
+
+
+class TestBulkBatches:
+    @given(seed=st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=30, deadline=None)
+    def test_batches_and_merges_equal_their_one_at_a_time_forms(self, seed):
+        rng = random.Random(seed)
+        oracle = _oracle(seed % 5)
+        nodes = oracle.network.nodes[:rng.choice((5, 40))]
+        model = CostModel(oracle)
+        pool = (_orders(rng, nodes, 8, base_id=0)
+                + _slow_kitchens(rng, nodes, 6, base_id=100))
+        rng.shuffle(pool)
+        order_sets = [pool[i:i + size] for i, size in zip(
+            range(0, len(pool), 2), itertools.cycle((1, 2)), strict=False)]
+        with model.planning_scope(pool):
+            batches = model.make_batches(order_sets, NOW)
+            # (The reference enumerates every permutation: three orders at most.)
+            pairs = [(left, right) for left, right in itertools.combinations(batches, 2)
+                     if left.size + right.size <= 3]
+            weights, merged_of = model.merge_costs(pairs, NOW)
+            assert model.merge_costs([], NOW)[0] == []
+        for batch, orders in zip(batches, order_sets, strict=True):
+            plan, _ = _batch_reference(orders, oracle, model.sdt)
+            assert batch.orders == tuple(sorted(orders))
+            assert (batch.plan.stops, batch.plan.start_node, batch.plan.evaluation) == (
+                plan.stops, plan.start_node, plan.evaluation)
+        for i, (left, right) in enumerate(pairs):
+            plan, _ = _batch_reference(left.orders + right.orders, oracle, model.sdt)
+            assert weights[i] == max(0.0, plan.cost - (left.cost + right.cost))
+            merged = merged_of(i)
+            assert merged.orders == tuple(sorted(left.orders + right.orders))
+            assert (merged.plan.stops, merged.plan.start_node,
+                    merged.plan.evaluation) == (plan.stops, plan.start_node,
+                                                plan.evaluation)
+            # Computed once per batch, and the right value.
+            assert merged.items == sum(order.items for order in merged.orders)
+            assert merged.first_pickup_node == next(
+                stop.node for stop in plan.stops if stop.is_pickup)
+            assert vars(merged).keys() >= {"items", "first_pickup_node"}
+
+    def test_starts_really_tie(self):
+        # The property above only pins down which start wins a tie if some
+        # of its batches have one: two starts attaining the minimum.
+        ties = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            oracle = _oracle(seed % 5)
+            model = CostModel(oracle)
+            orders = _slow_kitchens(rng, oracle.network.nodes, 3, base_id=0)
+            plan, keys = _batch_reference(orders, oracle, model.sdt)
+            if keys.count(min(keys)) > 1 and min(keys)[0] != math.inf:
+                ties += 1
+                with model.planning_scope(orders):
+                    batch, = model.make_batches([orders], NOW)
+                assert batch.plan.start_node == plan.start_node
+        assert ties >= 10
+
+
+# --------------------------------------------------------------------------- #
 # (b) optimistic rounds vs the sequential loop
 # --------------------------------------------------------------------------- #
 def _build_both(seed: int):
@@ -180,9 +348,9 @@ class TestOptimisticRounds:
         evaluate = foodgraph_module._evaluate_pairs
         evaluated = collections.Counter()
 
-        def spy(graph, cost_model, now, pairs):
-            evaluated.update(v_idx for _, v_idx in pairs)
-            return evaluate(graph, cost_model, now, pairs)
+        def spy(graph, cost_model, now, b_idx, v_idx):
+            evaluated.update(v_idx.tolist())
+            return evaluate(graph, cost_model, now, b_idx, v_idx)
 
         monkeypatch.setattr(foodgraph_module, "_evaluate_pairs", spy)
         parted = 0

@@ -135,14 +135,13 @@ class TestVehicleDegreeMaintenance:
         graph.edges.pop((0, 0))
         assert graph.vehicle_degree(0) == 1
 
-    def test_length_preserving_direct_edit_after_invalidate(self):
+    def test_length_preserving_direct_edit(self):
         from repro.core.foodgraph import FoodGraph
 
         graph = FoodGraph([], [], omega=1.0)
         graph.add_edge(0, 0, 0.5, None)
         graph.edges.pop((0, 0))
         graph.edges[(2, 2)] = (0.4, None)  # same length, different vehicle
-        graph.invalidate_degree_counts()
         assert graph.vehicle_degree(0) == 0
         assert graph.vehicle_degree(2) == 1
 

@@ -166,11 +166,15 @@ class TestTraceMode:
         assert stats["batching.plan"]["total_seconds"] <= \
             stats["policy.batching"]["total_seconds"]
         windows = stats["policy.foodgraph"]["count"]
-        for name in ("kernel_passes", "kernel_rows", "base_plans_reused",
-                     "foodgraph_rounds", "foodgraph_searches"):
+        for name in ("kernel_passes", "kernel_rows", "kernel_steps",
+                     "base_plans_reused", "foodgraph_rounds", "foodgraph_searches"):
             assert telemetry.histograms[f"search.{name}"]["count"] == windows
-        assert telemetry.histograms["search.kernel_passes"]["sum"] == \
-            telemetry.counters["cost.kernel_passes"]
+        for name in ("kernel_passes", "kernel_rows", "kernel_steps"):
+            assert telemetry.histograms[f"search.{name}"]["sum"] == \
+                telemetry.counters[f"cost.{name}"]
+        # Shared prefixes are walked once: fewer stops than rows x stops.
+        assert 0 < telemetry.counters["cost.kernel_steps"] < \
+            8 * telemetry.counters["cost.kernel_rows"]
         assert telemetry.histograms["search.foodgraph_rounds"]["min"] >= 1
         assert telemetry.histograms["search.foodgraph_searches"]["min"] >= 1
 

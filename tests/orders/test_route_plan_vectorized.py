@@ -1,19 +1,24 @@
 """Equivalence tests: bulk route-plan search vs the scalar permutation scan.
 
-:func:`~repro.orders.route_plan.best_route_plan_vectorized` must pick, for
-every request of a same-shape list, the exact plan
+:func:`~repro.orders.route_plan.route_plan_kernel` (reached here through its
+request-list adapter, :func:`~repro.orders.route_plan.best_route_plan_vectorized`)
+must pick, for every request of a same-shape list, the exact plan
 :func:`~repro.orders.route_plan.best_route_plan` returns — the same stop
 sequence (including enumeration-order tie-breaking) and a bit-identical
 evaluation — over random order sets, onboard orders and congestion
 profiles; and :class:`~repro.orders.costs.CostModel`, which groups mixed
 lists by shape and scans the small ones in Python, must do so whatever mix
-it is handed.
+it is handed.  The kernel walks each shape's valid permutations as a tree of
+shared prefixes, so the tree itself is checked against the permutation
+matrix first.
 """
 
 import functools
 import math
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +35,9 @@ from repro.orders.route_plan import (
     best_route_plan,
     best_route_plan_vectorized,
     permutation_rows,
+    prefix_steps,
+    request_rows,
+    route_plan_kernel,
     scan_route_plan,
 )
 
@@ -97,6 +105,116 @@ def _reference(request: PlanRequest, oracle, sdt_lookup):
     return best_route_plan(request.new_orders, request.start_node,
                            request.start_time, oracle.distance, sdt_lookup,
                            onboard_orders=request.onboard_orders)
+
+
+SHAPES = [(num_new, num_onboard) for num_new in range(5)
+          for num_onboard in range(9 - 2 * num_new)]
+
+
+class TestPrefixTree:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_levels_are_the_distinct_prefixes_of_the_valid_permutations(self, shape):
+        perms = route_plan._valid_permutations(*shape).tolist()
+        levels = route_plan._prefix_levels(*shape)
+        assert len(levels) == 2 * shape[0] + shape[1]
+        prefixes = [()]
+        for length, (parent, stop, leg) in enumerate(levels, start=1):
+            assert len(parent) == len(stop) == len(leg)
+            previous, prefixes = prefixes, [
+                prefixes[i] + (j,) for i, j in zip(parent.tolist(), stop.tolist(),
+                                                   strict=True)]
+            assert len(set(prefixes)) == len(prefixes)
+            assert set(prefixes) == {tuple(perm[:length]) for perm in perms}
+            # The leg into a prefix's last stop: from the start node (origin
+            # 0) or from the stop before it (origin j + 1), origin-major.
+            size = len(levels)
+            assert leg.tolist() == [
+                (previous[i][-1] + 1 if previous[i] else 0) * size + j
+                for i, j in zip(parent.tolist(), stop.tolist(), strict=True)]
+        if levels:
+            assert prefixes == [tuple(perm) for perm in perms]
+        assert prefix_steps(shape) == sum(len(level.stop) for level in levels)
+
+    def test_shared_prefixes_are_walked_once(self):
+        # What the tree buys: stops evaluated per request, against walking
+        # every permutation alone.
+        assert (prefix_steps((3, 0)), 6 * permutation_rows((3, 0))) == (270, 540)
+        assert (prefix_steps((4, 0)), 8 * permutation_rows((4, 0))) == (7_364, 20_160)
+
+
+def _winner_row(request: PlanRequest, plan) -> int:
+    """The row of the shape's permutation matrix that ``plan`` follows."""
+    base = route_plan._base_stops(request.new_orders, request.onboard_orders)
+    perm = [base.index(stop) for stop in plan.stops]
+    return route_plan._valid_permutations(*request.shape).tolist().index(perm)
+
+
+class TestArrayKernel:
+    """:func:`route_plan_kernel` on slot rows vs :func:`scan_route_plan` per request."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           shape=st.sampled_from([shape for shape in SHAPES if 0 < sum(shape) <= 4
+                                  and 2 * shape[0] + shape[1] <= 6]),
+           hour=st.sampled_from([6.0, 11.0, 12.0, 18.0, 23.0, 24.0, 30.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_scan_bit_for_bit(self, seed, shape, hour):
+        rng = random.Random(seed)
+        oracle = _oracle(seed % 4)
+        nodes = [node for node in oracle.network.nodes if node != ISLAND]
+        # Some runs with an unreachable node in the table (the sentinel path).
+        pool = nodes + [ISLAND] * rng.choice((0, 0, 3))
+        # Clocks start within twenty minutes of an hour boundary the peak
+        # profile changes its multiplier at (or not: 6, 18), on either side
+        # of it and past midnight; plans cross it.
+        boundary = hour * 3600.0
+        orders = [Order(order_id=i, restaurant_node=rng.choice(pool),
+                        customer_node=rng.choice(pool),
+                        placed_at=max(0.0, boundary - rng.uniform(0.0, 2400.0)),
+                        # Ready long before the vehicle can be there, or long
+                        # after: both sides of every wait.
+                        prep_time=rng.choice((0.0, 300.0, 1500.0, 4000.0)))
+                  for i in range(40)]
+        sdt = {order.order_id: rng.uniform(100.0, 2000.0) for order in orders}
+        if rng.random() < 0.2:
+            sdt[rng.randrange(40)] = math.inf
+
+        def sdt_lookup(order):
+            return sdt[order.order_id]
+
+        requests = []
+        for _ in range(rng.randrange(4, 11)):
+            chosen = rng.sample(orders, sum(shape))
+            requests.append(PlanRequest(
+                tuple(chosen[:shape[0]]), rng.choice(nodes),
+                boundary + rng.uniform(-1200.0, 1200.0), tuple(chosen[shape[0]:])))
+        table = PlanningTable(oracle, orders, nodes, sdt_lookup)
+        new, onboard, start, start_time = request_rows(requests, table)
+        assert new.shape == (len(requests), shape[0])
+        assert onboard.shape == (len(requests), shape[1])
+        with pytest.MonkeyPatch.context() as patch:
+            # More requests than one chunk holds.
+            patch.setattr(route_plan, "KERNEL_ROW_BUDGET",
+                          3 * permutation_rows(shape) + 1)
+            winner, cost, finish = route_plan_kernel(table, new, onboard, start,
+                                                     start_time)
+        assert cost.dtype == finish.dtype == np.float64
+        for i, request in enumerate(requests):
+            scalar = scan_route_plan(request, oracle.distance, sdt_lookup)
+            assert (cost[i], finish[i]) == (scalar.evaluation.total_xdt,
+                                            scalar.evaluation.finish_time)
+            assert winner[i] == _winner_row(request, scalar)
+            assert table.request(new[i], onboard[i], start[i],
+                                 start_time[i]) == request
+            _assert_same_plan(table.route_plan(request, winner[i]), scalar)
+
+    def test_empty_shape_costs_nothing_and_finishes_at_once(self):
+        oracle = _oracle(0)
+        table = PlanningTable(oracle, [], oracle.network.nodes[:2], lambda order: 0.0)
+        none = np.empty((2, 0), dtype=np.intp)
+        winner, cost, finish = route_plan_kernel(
+            table, none, none, np.array([0, 1]), np.array([10.0, 90_000.0]))
+        assert (winner.tolist(), cost.tolist(), finish.tolist()) == (
+            [0, 0], [0.0, 0.0], [10.0, 90_000.0])
 
 
 class TestVectorizedRoutePlan:
