@@ -184,6 +184,7 @@ def bench_pruned_repair(rows: int, cols: int, repeats: int,
     for _ in range(repeats):
         start = time.perf_counter()
         stats = oracle.apply_traffic_updates(dict(changes))
+        oracle.refresh()  # the repair runs at the oracle's next read
         repair_time = min(repair_time, time.perf_counter() - start)
         assert stats.strategy == "repair", stats
         oracle.reset_traffic_state()  # O(1) snapshot restore between repeats

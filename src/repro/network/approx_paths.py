@@ -52,13 +52,14 @@ PATH_RUNGS = ("hub_labels", "dijkstra", "bounded_hop_approx")
 def path_backend_available(name: str, oracle=None) -> bool:
     """Whether the named path rung can serve queries (for ``oracle`` if given).
 
-    ``hub_labels`` requires a live hub-label index on the oracle; the two
-    lower rungs only need the network itself.
+    ``hub_labels`` requires the oracle's hub-label backend (asking never
+    runs queued label work); the two lower rungs only need the network
+    itself.
     """
     if name not in PATH_RUNGS:
         return False
     if name == "hub_labels" and oracle is not None:
-        return oracle.hub_index is not None
+        return oracle.method == "hub_label"
     return True
 
 

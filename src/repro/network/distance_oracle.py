@@ -31,19 +31,32 @@ vehicles edge-by-edge along quickest paths.
 
 Dynamic traffic (incidents, closures, zonal rush hours) enters through
 :meth:`DistanceOracle.apply_traffic_updates`: per-edge weight changes are
-patched into the network's CSR arrays in place, the hub-label index is
-repaired incrementally for the labels the mutation can actually have
-touched (full rebuild stays as the fallback), and only the memoised entries
-whose stored values can be stale are evicted.
+patched into the network's CSR arrays in place, the update *decides*
+whether the hub-label index is repaired incrementally for the labels the
+mutation can actually have touched or rebuilt in full (the fallback), and
+only the memoised entries whose stored values can be stale are evicted.
+
+Hub-label work happens only when a read needs it.  Construction builds
+nothing, and each update queues its label action instead of running it: a
+rebuild decision drops everything queued before it, a repair decision
+queues its affected sets with the weights it must run on.  The first read —
+a point, paired or block query, :attr:`~DistanceOracle.hub_index`, or
+:meth:`~DistanceOracle.refresh` — replays the queue in order, so the labels
+are bit-identical to running every action eagerly, while a repair that a
+later rebuild supersedes never runs at all.  The window loop calls
+:meth:`~DistanceOracle.refresh` right after its traffic updates, so the
+work never lands inside a policy's decision time.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +81,45 @@ _CHANGE_TOLERANCE = 1e-9
 #: Sentinel distinguishing "pair not in the path cache" from the cached
 #: answer ``None`` ("no path exists") in :meth:`DistanceOracle.path_or_none`.
 _PATH_MISS = object()
+
+#: Queued hub-label actions at which an update replays the queue itself
+#: rather than waiting for a read.  Bounds the frozen weight copies a long
+#: read-free stretch of updates keeps alive; a replay is exact whenever it
+#: runs, so the value moves no answer.
+MAX_QUEUED_LABEL_WORK = 8
+
+
+class _LabelWork(NamedTuple):
+    """One queued hub-label action of a :class:`DistanceOracle`.
+
+    ``kind`` is ``"build"`` (the pristine index: at construction or after
+    :meth:`DistanceOracle.reset_traffic_state`), ``"rebuild"`` (a traffic
+    update's full-rebuild decision) or ``"repair"``.  ``weights`` is the
+    ``(csr, reverse csr)`` pair to run on; ``None`` means the network's live
+    weights, which an action keeps only until the next update freezes them.
+    """
+
+    kind: str
+    affected_out: set[int] | None = None
+    affected_in: set[int] | None = None
+    weights: tuple | None = None
+
+
+class _QueuedLabels:
+    """Stands in for the hub-label index while label work is queued.
+
+    The first attribute read replays the owning oracle's queue and forwards
+    to the real index, which then replaces this object — so the query paths
+    pay nothing per call once the labels are current.
+    """
+
+    __slots__ = ("_oracle",)
+
+    def __init__(self, oracle: DistanceOracle) -> None:
+        self._oracle = weakref.ref(oracle)
+
+    def __getattr__(self, name: str):
+        return getattr(self._oracle()._flush(), name)
 
 
 class LRUCache:
@@ -137,10 +189,12 @@ class LRUCache:
 class TrafficRepairStats:
     """What one :meth:`DistanceOracle.apply_traffic_updates` call did.
 
-    ``strategy`` is ``"noop"`` (no weight actually changed), ``"repair"``
-    (hub labels repaired incrementally), ``"rebuild"`` (full index rebuild —
-    the correctness fallback once the affected region stops being localised)
-    or ``"dijkstra"`` (no index to maintain; caches invalidated only).
+    ``strategy`` is the label *decision*: ``"noop"`` (no weight actually
+    changed), ``"repair"`` (hub labels to be repaired incrementally),
+    ``"rebuild"`` (full index rebuild — the correctness fallback once the
+    affected region stops being localised) or ``"dijkstra"`` (no index to
+    maintain; caches invalidated only).  The label work itself runs at the
+    oracle's next read, and a repair a later rebuild supersedes never runs.
 
     ``severed_edges`` counts the mutated edges whose new factor is infinite
     (fully severed closures); ``disconnected_nodes`` counts the nodes that
@@ -186,7 +240,9 @@ class DistanceOracle:
         A prebuilt :class:`~repro.network.hub_labeling.HubLabelIndex` over
         ``network`` to adopt instead of building one (forces the
         ``"hub_label"`` backend).  The shared-memory attach path uses this
-        to hand a worker the packed label arrays zero-copy.
+        to hand a worker the packed label arrays zero-copy.  Without one,
+        the ``"hub_label"`` backend builds its index at the first read (see
+        :meth:`refresh`), not here.
     """
 
     _AUTO_THRESHOLD = 60
@@ -204,9 +260,18 @@ class DistanceOracle:
             method = "hub_label" if network.num_nodes >= self._AUTO_THRESHOLD else "dijkstra"
         self._network = network
         self._method = method
-        self._index: HubLabelIndex | None = hub_index
-        if method == "hub_label" and self._index is None:
-            self._index = HubLabelIndex(network)
+        #: the last materialised index; ``_index`` is it, or the stand-in
+        #: that replays ``_queue`` on first use while label work is queued
+        self._built: HubLabelIndex | None = hub_index
+        self._index: HubLabelIndex | _QueuedLabels | None = hub_index
+        self._queue: list[_LabelWork] = []
+        #: label work actually run: full index builds, incremental repairs,
+        #: and repairs a later rebuild decision dropped from the queue unrun
+        self.label_builds = 0
+        self.label_repairs_run = 0
+        self.label_repairs_superseded = 0
+        if method == "hub_label" and hub_index is None:
+            self._queue_label_work(_LabelWork("build"))
         self._point_cache = LRUCache(point_cache_size)
         self._sssp_cache = LRUCache(sssp_cache_size)
         self._path_cache = LRUCache(path_cache_size)
@@ -236,8 +301,8 @@ class DistanceOracle:
         # ULP (a repaired label stores the Dijkstra path sum, a built label
         # covers the pair as fl(d(s,h)) + fl(d(h,t))), so restoring the
         # *bit*-pristine state needs the pristine labels back — see
-        # reset_traffic_state.  The snapshot is taken lazily on the first
-        # mutating update.
+        # reset_traffic_state.  The snapshot is taken on the first mutating
+        # update, or when the pristine build runs if it was still queued.
         self._traffic_touched = False
         self._label_snapshot = None
 
@@ -251,8 +316,71 @@ class DistanceOracle:
 
     @property
     def hub_index(self) -> HubLabelIndex | None:
-        """The live hub-label index (``None`` on the Dijkstra backend)."""
+        """The live hub-label index (``None`` on the Dijkstra backend).
+
+        A read: queued label work runs first.
+        """
+        self.refresh()
         return self._index
+
+    # ------------------------------------------------------------------ #
+    # deferred label work
+    # ------------------------------------------------------------------ #
+    def refresh(self) -> None:
+        """Run every queued hub-label action now (a no-op when none is).
+
+        Any read does this by itself; callers use it to put the work where
+        they want it timed — set-up code before its timers start, the window
+        loop between its traffic updates and the policy's decision.
+        """
+        if self._queue:
+            self._flush()
+
+    @property
+    def can_repair(self) -> bool:
+        """Whether the index the queue ends on supports incremental repair.
+
+        Never runs label work: a queued build ranks every node (both default
+        orderings are complete), otherwise the built index answers.
+        """
+        if self._index is None:
+            return False
+        if self._queue and self._queue[0].kind != "repair":
+            return True
+        return self._built.can_repair
+
+    def _queue_label_work(self, work: _LabelWork) -> None:
+        if work.kind != "repair":
+            # A build replaces the whole index: nothing queued before it
+            # can affect the result.
+            self._drop_queue()
+        self._queue.append(work)
+        self._index = _QueuedLabels(self)
+
+    def _drop_queue(self) -> None:
+        self.label_repairs_superseded += sum(
+            1 for queued in self._queue if queued.kind == "repair")
+        self._queue.clear()
+
+    def _flush(self) -> HubLabelIndex:
+        """Replay the queued label actions in order; returns the live index."""
+        with current_tracer().span("oracle.refresh"):
+            while self._queue:
+                work = self._queue[0]
+                if work.kind == "repair":
+                    self._built.repair(work.affected_out, work.affected_in,
+                                       _csr_pair=work.weights)
+                    self.label_repairs_run += 1
+                else:
+                    self._built = HubLabelIndex(self._network,
+                                                _csr_pair=work.weights)
+                    self.label_builds += 1
+                    if work.kind == "build" and self._traffic_touched:
+                        # The pristine labels ran late; keep them for reset.
+                        self._label_snapshot = self._built.snapshot_labels()
+                self._queue.pop(0)
+        self._index = self._built
+        return self._built
 
     # ------------------------------------------------------------------ #
     # distance queries
@@ -600,10 +728,13 @@ class DistanceOracle:
            out- or in-distances moved — and the pairs stop once every node
            is in the set, unless the update severs an edge (a zonal update
            touches hundreds of endpoints and saturates after a handful);
-        3. the hub-label index repairs only the affected labels
-           (:meth:`HubLabelIndex.repair`), falling back to a full rebuild
-           once the cumulative repaired region exceeds ``repair_fraction``
-           of all labels;
+        3. the update decides how the hub labels follow: repair only the
+           affected labels (:meth:`HubLabelIndex.repair`), or a full
+           rebuild once the cumulative repaired region exceeds
+           ``repair_fraction`` of all labels.  The decision is queued, not
+           run — a repair together with frozen copies of the weights it must
+           run on, a rebuild by dropping everything queued before it — and
+           the next read replays the queue (see :meth:`refresh`);
         4. only the memoised entries whose stored values can be stale are
            dropped: point distances and cached paths touching an affected
            source/target, cached paths traversing a mutated edge, and SSSP
@@ -623,11 +754,17 @@ class DistanceOracle:
         network = self._network
         if not self._traffic_touched:
             self._traffic_touched = True
-            if self._index is not None:
-                self._label_snapshot = self._index.snapshot_labels()
+            if self._index is not None and not self._queue:
+                self._label_snapshot = self._built.snapshot_labels()
         csr = network.csr()
+        # The weights as they stand before this update: the "before" side of
+        # the affected-set searches, and the weights every action still
+        # queued on the live ones must run on once they are patched.
+        before = (csr.frozen_copy(), network.csr(reverse=True).frozen_copy())
+        self._queue = [work if work.weights else work._replace(weights=before)
+                       for work in self._queue]
         affected_out_idx, affected_in_idx, lost_idx = \
-            self._patch_and_find_affected(mutated)
+            self._patch_and_find_affected(mutated, before)
         ids = csr.node_ids
         affected_out = {ids[i] for i in affected_out_idx}
         affected_in = {ids[i] for i in affected_in_idx}
@@ -637,12 +774,15 @@ class DistanceOracle:
             self._repaired_out |= affected_out
             self._repaired_in |= affected_in
             budget = 2 * csr.num_nodes * self.repair_fraction
-            if (self._index.can_repair
+            if (self.can_repair
                     and len(self._repaired_out) + len(self._repaired_in) <= budget):
-                self._index.repair(affected_out, affected_in)
+                self._queue_label_work(
+                    _LabelWork("repair", affected_out, affected_in))
+                if len(self._queue) >= MAX_QUEUED_LABEL_WORK:
+                    self._flush()
                 strategy = "repair"
             else:
-                self._index = HubLabelIndex(network)
+                self._queue_label_work(_LabelWork("rebuild"))
                 self._repaired_out.clear()
                 self._repaired_in.clear()
                 strategy = "rebuild"
@@ -684,13 +824,15 @@ class DistanceOracle:
         )
 
     def _patch_and_find_affected(
-            self, mutated: dict[tuple[int, int], float],
+            self, mutated: dict[tuple[int, int], float], before: tuple,
     ) -> tuple[set[int], set[int], set[int]]:
         """Steps 1–2: patch the weights, then derive what the patch moved.
 
-        Returns CSR node indexes: the nodes whose distance *to* some mutated
-        head changed, the nodes whose distance *from* some mutated tail
-        changed, and the nodes that lost reachability to or from one.
+        ``before`` holds frozen copies of the pre-mutation ``(csr, reverse
+        csr)`` weights.  Returns CSR node indexes: the nodes whose distance
+        *to* some mutated head changed, the nodes whose distance *from* some
+        mutated tail changed, and the nodes that lost reachability to or
+        from one.
         """
         network = self._network
         csr = network.csr()
@@ -698,11 +840,10 @@ class DistanceOracle:
         index_of = csr.index_of
         heads = {index_of[v] for _, v in mutated}
         tails = {index_of[u] for u, _ in mutated}
-        # The "before" searches run on frozen copies of the pre-mutation
-        # weights, so each endpoint's before/after pair runs back to back and
-        # only one pair of settled-distance dicts is alive at a time.
-        old_csr = csr.frozen_copy()
-        old_rcsr = rcsr.frozen_copy()
+        # The "before" searches run on the frozen pre-mutation weights, so
+        # each endpoint's before/after pair runs back to back and only one
+        # pair of settled-distance dicts is alive at a time.
+        old_csr, old_rcsr = before
         for (u, v), factor in mutated.items():
             network.set_edge_override(u, v, factor)
         # Only an infinite patched weight can take reachability away.  Without
@@ -749,11 +890,14 @@ class DistanceOracle:
         reproduce the fresh-oracle run exactly.
 
         Untouched oracles reset for free: no overrides to clear, no label
-        work.  Touched ones restore the snapshot at O(1) cost — the flat
-        label arrays are captured and reinstated by reference (repairs
-        write overlays and merges allocate fresh arrays, so snapshotted
-        arrays are never mutated), which also means resetting a
-        shared-memory-attached index never copies the shared label block.
+        work.  Touched ones drop their queued label work and restore the
+        snapshot at O(1) cost — the flat label arrays are captured and
+        reinstated by reference (repairs write overlays and merges allocate
+        fresh arrays, so snapshotted arrays are never mutated), which also
+        means resetting a shared-memory-attached index never copies the
+        shared label block.  An oracle whose pristine labels were never
+        built (its first update decided a rebuild) queues the pristine
+        build again instead — bit-identical, and paid only if read.
         """
         network = self._network
         for edge in network.edge_overrides():
@@ -772,9 +916,11 @@ class DistanceOracle:
         if self._traffic_touched:
             if self._index is not None:
                 if self._label_snapshot is not None:
-                    self._index.restore_labels(self._label_snapshot)
-                else:  # pragma: no cover - snapshot always exists with an index
-                    self._index = HubLabelIndex(network)
+                    self._drop_queue()
+                    self._built.restore_labels(self._label_snapshot)
+                    self._index = self._built
+                else:
+                    self._queue_label_work(_LabelWork("build"))
             self._traffic_touched = False
 
     # ------------------------------------------------------------------ #
@@ -797,15 +943,21 @@ class DistanceOracle:
         return info
 
     def index_info(self) -> dict[str, int] | None:
-        """Hub-label footprint (entry count and resident bytes), or ``None``.
+        """Hub-label footprint of the built index, or ``None``.
 
+        ``entries`` and ``bytes`` describe the index as last built (both 0
+        before the first build); ``pending`` counts the label actions still
+        queued.  A diagnostic, not a read: it never runs queued work.
         ``None`` on the Dijkstra backend.  Surfaces through
         ``SimulationResult.cache_stats`` so the scalability experiments can
         report index memory next to the cache hit rates.
         """
         if self._index is None:
             return None
-        return self._index.memory_info()
+        info = (self._built.memory_info() if self._built is not None
+                else {"entries": 0, "bytes": 0})
+        info["pending"] = len(self._queue)
+        return info
 
     def reset_counters(self) -> None:
         """Zero the query counter and cache counters (scalability experiments)."""

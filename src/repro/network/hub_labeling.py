@@ -127,12 +127,16 @@ class HubLabelIndex:
         ``"betweenness"`` keeps the sampled Brandes ordering of earlier
         revisions.  The strategy only affects label sizes and build time,
         never query exactness.
+    _csr_pair:
+        Private: build on this ``(csr, reverse csr)`` pair — typically
+        :meth:`~repro.network.graph.CSRAdjacency.frozen_copy` weights of an
+        earlier traffic state — instead of the network's live adjacency.
     """
 
     def __init__(self, network: RoadNetwork, order: Sequence[int] | None = None,
-                 order_strategy: str = "auto") -> None:
+                 order_strategy: str = "auto", *, _csr_pair=None) -> None:
         self._network = network
-        csr = network.csr()
+        csr = network.csr() if _csr_pair is None else _csr_pair[0]
         self._index_of = csr.index_of
         self._num_nodes = csr.num_nodes
         self._identity_ids = csr.node_ids == list(range(csr.num_nodes))
@@ -166,7 +170,8 @@ class HubLabelIndex:
             if hierarchy is not None:
                 self._build_from_hierarchy(*hierarchy)
             else:
-                self._build(csr, network.csr(reverse=True))
+                self._build(csr, network.csr(reverse=True) if _csr_pair is None
+                            else _csr_pair[1])
 
     # ------------------------------------------------------------------ #
     # hub ordering
@@ -650,7 +655,8 @@ class HubLabelIndex:
         """Whether :meth:`repair` is available (every node must hold a rank)."""
         return len(self._rank_of) == self._num_nodes
 
-    def repair(self, affected_out: Iterable[int], affected_in: Iterable[int]) -> int:
+    def repair(self, affected_out: Iterable[int], affected_in: Iterable[int],
+               *, _csr_pair=None) -> int:
         """Repair the index after a weight-only network mutation.
 
         ``affected_out`` are the node ids whose *outgoing* distances may have
@@ -686,7 +692,9 @@ class HubLabelIndex:
           pair the top-ranked midpoint — the hub the standard 2-hop cover
           argument relies on — survives in both endpoint labels.
 
-        Returns the number of labels rebuilt.
+        The searches run on the network's live weights unless the private
+        ``_csr_pair`` names frozen ones (a repair the distance oracle
+        deferred past later updates).  Returns the number of labels rebuilt.
         """
         if not self.can_repair:
             raise ValueError("repair requires a complete hub order; rebuild instead")
@@ -697,8 +705,8 @@ class HubLabelIndex:
             # authoritative — which the compiled selection kernel reads
             # directly — and keeps both backends on the same data.
             self._ensure_arrays()
-            csr = self._network.csr()
-            rcsr = self._network.csr(reverse=True)
+            csr, rcsr = _csr_pair or (self._network.csr(),
+                                      self._network.csr(reverse=True))
             rank_of = self._rank_of
             affected_out_idx = [idx for node in affected_out
                                 if (idx := self._index_of.get(node)) is not None]

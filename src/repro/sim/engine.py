@@ -75,7 +75,7 @@ from repro.sim.clock import EventClock
 from repro.orders.order import Order
 from repro.orders.vehicle import Vehicle, VehicleState
 from repro.sim.metrics import OrderOutcome, SimulationResult, WindowRecord
-from repro.traffic.controller import TrafficController
+from repro.traffic.controller import LABEL_WORK_COUNTERS, TrafficController
 from repro.workload.generator import Scenario
 
 #: The recognised event-resolution modes of :class:`SimulationConfig`.
@@ -170,6 +170,11 @@ class Simulator:
                 fleet = FleetController(plan, cost_model.oracle,
                                         scenario.restaurants)
         self.fleet = fleet
+        # Open the hub labels here, inside set-up, unless the horizon opens
+        # on a weight change: the first window's update would discard them.
+        if (self.traffic is None
+                or not self.traffic.opens_on_weight_change(self.config.start)):
+            cost_model.oracle.refresh()
         self._walker = (PathWalker(cost_model.oracle)
                         if self.config.vectorized else None)
         self.vehicles = scenario.fresh_vehicles()
@@ -353,6 +358,10 @@ class Simulator:
                 if self._clock is not None:
                     with tracer.span("engine.event_drain"):
                         self._drain_subwindow_events(window_start, window_end)
+                # Hub-label work the updates queued runs now (an
+                # ``oracle.refresh`` span), never inside the policy's
+                # decision time.
+                self.cost_model.oracle.refresh()
                 with tracer.span("engine.advance"):
                     self._advance_all_vehicles(window_end)
                 with tracer.span("engine.ingest"):
@@ -461,7 +470,8 @@ class Simulator:
         if self.traffic is not None:
             log = self.traffic.log
             for name in ("advances", "changed_edges", "repairs", "rebuilds",
-                         "severed_edges", "disconnected_nodes"):
+                         "severed_edges", "disconnected_nodes",
+                         *LABEL_WORK_COUNTERS):
                 registry.counter(f"traffic.{name}").inc(getattr(log, name))
         if self.fleet is not None:
             log = self.fleet.log
@@ -493,7 +503,8 @@ class Simulator:
         When the oracle runs on the hub-label backend, a ``"hub_labels"``
         entry reports the index footprint (label entry count and resident
         bytes) as of the end of the run, so the scalability experiments see
-        index memory next to the cache hit rates.
+        index memory next to the cache hit rates, plus the label actions
+        still queued — reading them never runs that work.
         """
         stats: dict[str, dict[str, int]] = {}
         oracle = self.cost_model.oracle

@@ -7,8 +7,9 @@ events active at the new timestamp, diffs the implied per-edge factors
 against what is currently applied, and hands the (usually tiny) change set
 to :meth:`DistanceOracle.apply_traffic_updates
 <repro.network.distance_oracle.DistanceOracle.apply_traffic_updates>`, which
-patches CSR weights in place, repairs the hub-label index incrementally and
-evicts only the cache entries the mutation can have staled.
+patches CSR weights in place, decides between repairing the hub-label index
+incrementally and rebuilding it (the label work itself runs at the oracle's
+next read) and evicts only the cache entries the mutation can have staled.
 
 Because :meth:`advance` recomputes the desired state from the timeline each
 call (rather than replaying deltas), it is idempotent, tolerant of clock
@@ -23,10 +24,20 @@ from dataclasses import dataclass, field
 from repro.network.distance_oracle import DistanceOracle, TrafficRepairStats
 from repro.traffic.events import TrafficEvent, TrafficTimeline
 
+#: The oracle's label-work counters a :class:`TrafficLog` mirrors.
+LABEL_WORK_COUNTERS = ("label_builds", "label_repairs_run",
+                       "label_repairs_superseded")
+
 
 @dataclass
 class TrafficLog:
-    """Cumulative account of what the controller did over a run."""
+    """Cumulative account of what the controller did over a run.
+
+    ``repairs`` / ``rebuilds`` count the label *decisions* of its updates;
+    the ``label_*`` fields count the label work the oracle actually ran
+    (full builds, repairs) or dropped unrun (repairs a later rebuild
+    superseded) since the controller was attached.
+    """
 
     advances: int = 0
     changed_edges: int = 0
@@ -36,6 +47,9 @@ class TrafficLog:
     #: size of the regions those cuts disconnected (0 for slowdown-only runs)
     severed_edges: int = 0
     disconnected_nodes: int = 0
+    label_builds: int = 0
+    label_repairs_run: int = 0
+    label_repairs_superseded: int = 0
     reports: list[TrafficRepairStats] = field(default_factory=list)
 
     def record(self, stats: TrafficRepairStats) -> None:
@@ -67,7 +81,20 @@ class TrafficController:
         # validated unique, so they would be an ambiguous cache key.
         self._scope_cache: dict[TrafficEvent, tuple[tuple[int, int], ...]] = {}
         self._time: float | None = None
-        self.log = TrafficLog()
+        self._log = TrafficLog()
+        self._label_work_base = {name: getattr(oracle, name)
+                                 for name in LABEL_WORK_COUNTERS}
+
+    @property
+    def log(self) -> TrafficLog:
+        """What the controller did so far.
+
+        The label-work fields are read off the oracle on access: that work
+        runs at the oracle's next read, after :meth:`advance` returned.
+        """
+        for name, base in self._label_work_base.items():
+            setattr(self._log, name, getattr(self._oracle, name) - base)
+        return self._log
 
     @property
     def oracle(self) -> DistanceOracle:
@@ -106,6 +133,18 @@ class TrafficController:
                 desired[edge] = desired.get(edge, 1.0) * event.factor
         return desired
 
+    def opens_on_weight_change(self, t: float) -> bool:
+        """Whether :meth:`advance` at ``t`` would change any edge weight.
+
+        A pure read of :meth:`desired_overrides` against the overrides the
+        network carries; the simulator asks it for its horizon's start, to
+        skip building hub labels the first update would discard.
+        """
+        desired = self.desired_overrides(t)
+        applied = self._oracle.network.edge_overrides()
+        return any(desired.get(edge, 1.0) != applied.get(edge, 1.0)
+                   for edge in desired.keys() | applied.keys())
+
     def advance(self, now: float) -> TrafficRepairStats:
         """Bring the network's traffic state up to timestamp ``now``.
 
@@ -125,7 +164,7 @@ class TrafficController:
         stats = self._oracle.apply_traffic_updates(changes)
         self._applied = desired
         self._time = now
-        self.log.record(stats)
+        self._log.record(stats)
         return stats
 
 

@@ -37,7 +37,13 @@ class TestFormatCacheReport:
             "hub_labels": {"entries": 2820, "bytes": 45_000_000},
         })
         assert "hub labels: 2,820 entries, 45.0 MB resident" in report
+        assert "queued" not in report
         assert "hub_labels" not in report.splitlines()[1]  # not a table row
+
+    def test_queued_label_work_is_reported(self):
+        report = format_cache_report({
+            "hub_labels": {"entries": 2820, "bytes": 45_000_000, "pending": 2}})
+        assert "45.0 MB resident (2 label updates still queued)" in report
 
 
 def _telemetry() -> Telemetry:
@@ -85,6 +91,17 @@ class TestFormatTelemetryReport:
         assert "oracle: 1,500 distance queries" in report
         assert "(40 batched calls, 6 SSSP runs)" in report
         assert "cost model: 900 route plans evaluated" in report
+
+    def test_footer_reports_label_work(self):
+        telemetry = _telemetry()
+        telemetry.counters.update({
+            "traffic.label_builds": 2.0, "traffic.label_repairs_run": 0.0,
+            "traffic.label_repairs_superseded": 2.0, "traffic.repairs": 2.0,
+            "traffic.rebuilds": 2.0})
+        report = format_telemetry_report(telemetry)
+        assert ("hub labels: 2 builds and 0 repairs run, 2 superseded unrun "
+                "(decided: 2 repairs, 2 rebuilds)") in report
+        assert "hub labels" not in format_telemetry_report(_telemetry())
 
     def test_counterless_telemetry_has_no_footer(self):
         tracer = Tracer()

@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.distance_oracle import DistanceOracle, _changed_nodes
+from repro.network.distance_oracle import (
+    MAX_QUEUED_LABEL_WORK,
+    DistanceOracle,
+    _changed_nodes,
+)
 from repro.network.generators import grid_city, random_geometric_city
 from repro.network.graph import TimeProfile
 from repro.network.hub_labeling import HubLabelIndex
@@ -296,7 +300,7 @@ class ExhaustiveOracle(DistanceOracle):
     "before" tree held until its "after" is in.  The reference
     :class:`DistanceOracle` is compared against, call for call."""
 
-    def _patch_and_find_affected(self, mutated):
+    def _patch_and_find_affected(self, mutated, before):
         network = self.network
         csr = network.csr()
         rcsr = network.csr(reverse=True)
@@ -440,3 +444,177 @@ class TestSearchSaturation:
         assert runs == exhaustive == 32
         reopened = oracle.apply_traffic_updates({(3, 4): 2.0, (4, 3): 2.0})
         assert reopened.disconnected_nodes == 0
+
+
+class EagerOracle(DistanceOracle):
+    """Runs every hub-label action the moment it is decided: the order of
+    work the deferred :class:`DistanceOracle` must reproduce bit for bit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refresh()
+
+    def apply_traffic_updates(self, changes):
+        stats = super().apply_traffic_updates(changes)
+        self.refresh()
+        return stats
+
+
+def _label_arrays(oracle):
+    index = oracle.hub_index
+    index._ensure_arrays()
+    return [np.asarray(index.hub_order)] + [
+        getattr(index, name) for name in (
+            "_out_indptr", "_out_rank_arr", "_out_dist_arr",
+            "_in_indptr", "_in_rank_arr", "_in_dist_arr")]
+
+
+def _read(rng, oracle, nodes):
+    """One read of a random kind; returns its answers."""
+    kind = rng.choice(["point", "paired", "block", "hub_index"])
+    if kind == "point":
+        return [oracle.distance(rng.choice(nodes), rng.choice(nodes), 0.0)
+                for _ in range(5)]
+    if kind == "paired":
+        return oracle.static_distances(rng.sample(nodes, 6), rng.sample(nodes, 6))
+    if kind == "block":
+        return oracle.static_distance_matrix(nodes[::3], nodes[1::4])
+    return None if oracle.hub_index is None else oracle.hub_index.query(nodes[0],
+                                                                         nodes[-1])
+
+
+@pytest.mark.parametrize("method", ["hub_label", "dijkstra"])
+class TestDeferredLabelWork:
+    """Label work at the next read gives what running it at once gives."""
+
+    @given(seed=st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=20, deadline=None)
+    def test_random_updates_and_reads_match_eager_work(self, method, seed):
+        rng = random.Random(seed)
+        oracle = DistanceOracle(fresh_network(seed=seed % 5, num_nodes=30),
+                                method=method)
+        eager = EagerOracle(fresh_network(seed=seed % 5, num_nodes=30),
+                            method=method)
+        nodes = oracle.network.nodes
+        kinds = ["incident", "zone", "closure", "reopen", "clear"]
+        for _step in range(rng.randint(1, 7)):
+            changes = _random_update(rng, oracle.network, rng.choice(kinds))
+            assert oracle.apply_traffic_updates(changes) == \
+                eager.apply_traffic_updates(changes)  # every field
+            for cache in ("_point_cache", "_path_cache", "_sssp_cache"):
+                assert list(getattr(oracle, cache)._data) == \
+                    list(getattr(eager, cache)._data), cache
+            if rng.random() < 0.4:
+                state = rng.getstate()
+                got = _read(rng, oracle, nodes)
+                rng.setstate(state)
+                assert np.array_equal(got, _read(rng, eager, nodes))
+        if method == "hub_label":
+            for got, want in zip(_label_arrays(oracle), _label_arrays(eager),
+                                 strict=True):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+        assert np.array_equal(oracle.static_distance_matrix(nodes, nodes),
+                              eager.static_distance_matrix(nodes, nodes))
+
+
+def _grid():
+    return grid_city(rows=6, cols=6, block_km=0.5, diagonal_fraction=0.0,
+                     congested_fraction=0.0, profile=TimeProfile.flat(), seed=3)
+
+
+def _grid_oracle():
+    oracle = DistanceOracle(_grid(), method="hub_label")
+    oracle.refresh()
+    return oracle
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    original = getattr(HubLabelIndex, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HubLabelIndex, name, spy)
+    return calls
+
+
+class TestLabelWorkQueue:
+    def test_construction_builds_nothing(self, monkeypatch):
+        builds = _spy(monkeypatch, "__init__")
+        oracle = DistanceOracle(fresh_network(), method="hub_label")
+        assert builds == [] and oracle.label_builds == 0
+        assert oracle.index_info() == {"entries": 0, "bytes": 0, "pending": 1}
+        oracle.distance(oracle.network.nodes[0], oracle.network.nodes[-1])
+        assert len(builds) == oracle.label_builds == 1
+        assert oracle.index_info()["pending"] == 0
+
+    def test_superseded_repairs_never_run(self, monkeypatch):
+        oracle = _grid_oracle()
+        repairs = _spy(monkeypatch, "repair")
+        builds = _spy(monkeypatch, "__init__")
+        # Two one-street incidents, then every street at once.
+        decisions = [oracle.apply_traffic_updates({edge: 2.0}).strategy
+                     for edge in ((0, 1), (20, 21))]
+        everything = {(u, v): 1.6 for u, v, _ in oracle.network.edges()}
+        decisions.append(oracle.apply_traffic_updates(everything).strategy)
+        assert decisions == ["repair", "repair", "rebuild"]
+        assert builds == [] and repairs == []
+        assert oracle.index_info()["pending"] == 1
+        oracle.refresh()
+        assert repairs == [] and len(builds) == 1
+        assert (oracle.label_builds, oracle.label_repairs_run,
+                oracle.label_repairs_superseded) == (2, 0, 2)
+
+    def test_queue_flushes_at_its_bound(self):
+        oracle = _grid_oracle()
+        oracle.repair_fraction = 1.0  # every update stays a repair
+        edges = [(u, v) for u, v, _ in oracle.network.edges()]
+        for step in range(1, MAX_QUEUED_LABEL_WORK):
+            assert oracle.apply_traffic_updates({edges[step]: 3.0}).strategy == "repair"
+            assert oracle.index_info()["pending"] == step
+        assert oracle.label_repairs_run == 0
+        oracle.apply_traffic_updates({edges[0]: 3.0})
+        assert oracle.index_info()["pending"] == 0
+        assert oracle.label_repairs_run == MAX_QUEUED_LABEL_WORK
+        assert_matches_rebuild(oracle, oracle.network)
+
+    def test_diagnostics_never_run_queued_work(self):
+        oracle = _grid_oracle()
+        oracle.apply_traffic_updates({(0, 1): 2.0})
+        before = oracle.index_info()
+        assert before["pending"] == 1
+        oracle.cache_info()
+        assert oracle.can_repair
+        assert oracle.index_info() == before
+        assert oracle.label_repairs_run == 0
+        oracle.hub_index  # a read
+        assert oracle.index_info()["pending"] == 0
+        assert oracle.label_repairs_run == 1
+
+    def test_reset_restores_pristine_labels_built_late(self):
+        # The first update arrives while the pristine build is still queued
+        # (it runs later, on the pre-update weights); resetting afterwards
+        # must give back exactly the labels a fresh oracle builds.
+        oracle = DistanceOracle(_grid(), method="hub_label")
+        assert oracle.apply_traffic_updates({(0, 1): 2.0}).strategy == "repair"
+        oracle.refresh()
+        assert oracle.label_repairs_run == 1
+        oracle.reset_traffic_state()
+        assert oracle.index_info()["pending"] == 0
+        fresh = DistanceOracle(_grid(), method="hub_label")
+        for got, want in zip(_label_arrays(oracle), _label_arrays(fresh), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_reset_after_an_unread_rebuild_queues_the_pristine_build(self):
+        oracle = DistanceOracle(_grid(), method="hub_label")
+        everything = {(u, v): 2.0 for u, v, _ in oracle.network.edges()}
+        assert oracle.apply_traffic_updates(everything).strategy == "rebuild"
+        oracle.reset_traffic_state()
+        assert oracle.label_builds == 0
+        assert oracle.index_info()["pending"] == 1
+        fresh = DistanceOracle(_grid(), method="hub_label")
+        for got, want in zip(_label_arrays(oracle), _label_arrays(fresh), strict=True):
+            assert got.tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ The load-bearing guarantees of the observability PR:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -33,7 +34,7 @@ from repro.network.distance_oracle import DistanceOracle
 from repro.obs.trace import rollup
 from repro.orders.costs import CostModel
 from repro.sim.engine import SimulationConfig, Simulator
-from repro.workload.city import CITY_PROFILES
+from repro.workload.city import CITY_PROFILES, metro_profile
 from repro.workload.generator import generate_scenario
 
 #: Span names the engine must emit on any windowed run (more appear with
@@ -189,6 +190,53 @@ class TestTraceMode:
         assert sum(stats[phase]["total_seconds"] for phase in (
             "policy.batching", "policy.foodgraph", "policy.matching")) <= \
             stats["engine.decide"]["total_seconds"]
+
+
+class TestLabelWork:
+    def test_label_work_runs_between_the_updates_and_the_policy(self):
+        telemetry = _run("trace", traffic="heavy").telemetry
+        spans = {record["span"]: record for record in telemetry.spans}
+        label_spans = [record for record in spans.values()
+                       if record["name"].startswith("hub_labels.")]
+        assert label_spans, "heavy traffic must make the labels follow"
+        for record in label_spans:
+            ancestors = []
+            parent = record["parent"]
+            while parent is not None:
+                ancestors.append(spans[parent]["name"])
+                parent = spans[parent]["parent"]
+            assert ancestors[0] == "oracle.refresh"
+            assert "engine.window" in ancestors
+            assert not any(name.startswith("policy.") for name in ancestors)
+        report = rollup(telemetry.spans)
+        assert report["oracle.refresh"]["total_seconds"] >= sum(
+            report[name]["total_seconds"] for name in report
+            if name.startswith("hub_labels."))
+
+    def test_metro_rush_hour_supersedes_two_repairs_a_pass(self):
+        # The yardstick's metro_dynamic pass: its first window opens on a
+        # zonal rush hour (one build, none at set-up), and in its fifth two
+        # sub-window repairs are superseded by a rebuild before any read.
+        profile = metro_profile(rows=30, cols=30, name="Metro900",
+                                orders_per_thousand_nodes=1200.0)
+        start = 12 * 3600.0
+        scenario = generate_scenario(profile, seed=1, start_hour=12, end_hour=13,
+                                     traffic="heavy", fleet="full")
+        scenario = dataclasses.replace(scenario, orders=[
+            o for o in scenario.orders if o.placed_at < start + 900.0])
+        obs.set_mode("summary")
+        oracle = DistanceOracle(scenario.network)
+        cost_model = CostModel(oracle)
+        simulator = Simulator(scenario, FoodMatchPolicy(cost_model), cost_model,
+                              SimulationConfig(delta=180.0, start=start,
+                                               end=start + 900.0 + 5 * 180.0,
+                                               event_resolution="continuous"))
+        assert oracle.label_builds == 0
+        counters = simulator.run().telemetry.counters
+        assert counters["traffic.repairs"] == counters["traffic.rebuilds"] == 2
+        assert counters["traffic.label_repairs_superseded"] == 2
+        assert counters["traffic.label_repairs_run"] == 0
+        assert counters["traffic.label_builds"] == 2
 
 
 class TestExecutorMerge:

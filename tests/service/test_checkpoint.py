@@ -12,6 +12,7 @@ Two properties carry the subsystem:
 
 import asyncio
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ SMALL = ExperimentSetting(profile=CITY_PROFILES["CityA"], scale=0.1,
 BUSY = ExperimentSetting(profile=CITY_PROFILES["CityA"], scale=0.2,
                          start_hour=12, end_hour=13, seed=1,
                          traffic="light", fleet="full")
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def make_service(setting, **kwargs):
@@ -96,6 +98,17 @@ class TestRoundTrip:
         name, options = policy_spec_from_checkpoint(payload)
         assert name == "foodmatch"
         assert options == {}
+
+    def test_stored_checkpoint_restores_to_its_recorded_fingerprint(self):
+        # Written six windows into a heavy-traffic CityA lunch hour (its
+        # updates decided a rebuild and a repair) by the engine that still
+        # built and repaired hub labels eagerly; the stored fingerprint is
+        # that engine's uninterrupted run.  Replaying the epochs with
+        # deferred label work must land on the same labels and outcomes.
+        stored = json.loads((DATA / "heavy_traffic_checkpoint.json").read_text())
+        restored = DispatchService.from_checkpoint(stored["checkpoint"])
+        result = asyncio.run(serve_recorded(restored))
+        assert result_fingerprint(result) == stored["fingerprint"]
 
     def test_finalized_simulator_cannot_checkpoint(self):
         service = make_service(SMALL)

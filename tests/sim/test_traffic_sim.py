@@ -113,6 +113,66 @@ class TestSimulationUnderTraffic:
         assert jammed_summary["xdt_hours_per_day"] >= \
             quiet_summary["xdt_hours_per_day"]
 
+    def test_labels_built_once_per_window_that_needs_them(self):
+        # Every street slows down from the horizon's start and again later:
+        # four all-node updates, each a rebuild decision, in four windows.
+        network = flat_grid()
+        timeline = TrafficTimeline((everywhere_incident(0.0, 900.0, network),
+                                    everywhere_incident(1500.0, 2100.0, network)))
+        orders = [order_at(i, restaurant=7, customer=28, placed_at=60.0 + 240.0 * i)
+                  for i in range(6)]
+        scenario = manual_scenario(orders, [Vehicle(vehicle_id=0, node=0)],
+                                   network=network, traffic=timeline)
+        oracle = DistanceOracle(network, method="hub_label")
+        cost_model = CostModel(oracle)
+        simulator = Simulator(scenario, GreedyPolicy(cost_model), cost_model,
+                              SimulationConfig(delta=300.0, start=0.0, end=3600.0))
+        assert oracle.label_builds == 0  # the first update would discard it
+        builds = []
+        for start in range(0, 3600, 300):
+            simulator.step_window(float(start), start + 300.0)
+            builds.append(oracle.label_builds)
+        assert builds == [1, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 4]
+        log = simulator.traffic.log
+        assert log.rebuilds == log.label_builds == 4
+        assert log.repairs == log.label_repairs_run == log.label_repairs_superseded == 0
+
+    def test_labels_built_once_at_construction_without_traffic(self):
+        network = flat_grid()
+        oracle = DistanceOracle(network, method="hub_label")
+        cost_model = CostModel(oracle)
+        orders = [order_at(i, restaurant=7, customer=28, placed_at=60.0 + 240.0 * i)
+                  for i in range(6)]
+        simulator = Simulator(manual_scenario(orders, [Vehicle(vehicle_id=0, node=0)],
+                                              network=network),
+                              GreedyPolicy(cost_model), cost_model,
+                              SimulationConfig(delta=300.0, start=0.0, end=3600.0))
+        assert oracle.label_builds == 1
+        simulator.run()
+        assert oracle.label_builds == 1
+
+    def test_finalize_reports_queued_label_work_without_running_it(self):
+        network = flat_grid()
+        oracle = DistanceOracle(network, method="hub_label")
+        cost_model = CostModel(oracle)
+        orders = [order_at(i, restaurant=7, customer=28, placed_at=60.0 + 240.0 * i)
+                  for i in range(6)]
+        simulator = Simulator(manual_scenario(orders, [Vehicle(vehicle_id=0, node=0)],
+                                              network=network),
+                              GreedyPolicy(cost_model), cost_model,
+                              SimulationConfig(delta=300.0, start=0.0, end=3600.0))
+        for start in range(0, 3600, 300):
+            simulator.step_window(float(start), start + 300.0)
+        # Updates after the last window: nothing reads the labels again.
+        assert oracle.apply_traffic_updates({(0, 1): 2.0}).strategy == "repair"
+        everything = {(u, v): 2.0 for u, v, _ in network.edges()}
+        assert oracle.apply_traffic_updates(everything).strategy == "rebuild"
+        result = simulator.finalize()
+        assert result.cache_stats["hub_labels"]["pending"] == 1
+        assert oracle.index_info()["pending"] == 1
+        assert oracle.label_builds == 1  # the one at construction
+        assert oracle.label_repairs_run == 0
+
     def test_generated_scenario_timeline_runs_end_to_end(self):
         scenario = generate_scenario(CITY_A.scaled(0.2), seed=6,
                                      start_hour=12, end_hour=13,

@@ -143,8 +143,9 @@ class TestCacheStatsSurfacing:
         assert set(result.cache_stats) == {"point", "path", "sssp", "hub_labels"}
         for name, stats in result.cache_stats.items():
             if name == "hub_labels":
-                assert set(stats) == {"entries", "bytes"}
+                assert set(stats) == {"entries", "bytes", "pending"}
                 assert stats["entries"] > 0 and stats["bytes"] > 0
+                assert stats["pending"] == 0
                 continue
             assert set(stats) == {"hits", "misses", "size", "capacity"}
             assert stats["hits"] >= 0 and stats["misses"] >= 0

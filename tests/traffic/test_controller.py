@@ -50,6 +50,28 @@ class TestControllerLifecycle:
         controller.advance(450.0)
         assert net.edge_time(0, 1, 0.0) == pytest.approx(base)
 
+    def test_opens_on_weight_change_is_a_pure_read(self):
+        event = TrafficEvent(0, "incident", 100.0, 200.0, factor=2.0,
+                             edges=((0, 1),))
+        controller, net = make_controller([event])
+        assert not controller.opens_on_weight_change(50.0)
+        assert controller.opens_on_weight_change(150.0)
+        assert net.edge_overrides() == {} and controller.time is None
+        controller.advance(150.0)
+        assert not controller.opens_on_weight_change(150.0)
+        assert controller.opens_on_weight_change(250.0)  # the clear
+
+    def test_log_mirrors_the_oracles_label_work(self):
+        event = TrafficEvent(0, "incident", 100.0, 200.0, factor=2.0,
+                             edges=((0, 1),))
+        controller, _ = make_controller([event], method="hub_label")
+        controller.advance(150.0)
+        assert controller.log.repairs == 1
+        assert controller.log.label_repairs_run == 0  # queued, not read yet
+        controller.oracle.refresh()
+        assert controller.log.label_builds == 1  # the pristine labels
+        assert controller.log.label_repairs_run == 1
+
     def test_advance_is_idempotent(self):
         event = TrafficEvent(0, "incident", 0.0, 300.0, factor=2.0, edges=((0, 1),))
         controller, _ = make_controller([event])
