@@ -145,6 +145,15 @@ def format_telemetry_report(telemetry,
             f"superseded unrun (decided: "
             f"{counters.get('traffic.repairs', 0):,.0f} repairs, "
             f"{counters.get('traffic.rebuilds', 0):,.0f} rebuilds)")
+        searches = counters.get("traffic.label_witness_searches")
+        if searches is not None:
+            report += (
+                f"; builds ran {searches:,.0f} witness searches "
+                f"({counters.get('traffic.label_witness_settles', 0):,.0f} "
+                f"settles), inserted "
+                f"{counters.get('traffic.label_shortcuts', 0):,.0f} shortcuts "
+                f"and derived {counters.get('traffic.label_levels', 0):,.0f} "
+                f"hierarchy levels")
     plans = telemetry.counters.get("cost.route_plans")
     if plans:
         report += f"\ncost model: {plans:,.0f} route plans evaluated"

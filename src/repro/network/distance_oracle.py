@@ -270,6 +270,11 @@ class DistanceOracle:
         self.label_builds = 0
         self.label_repairs_run = 0
         self.label_repairs_superseded = 0
+        #: what those builds did, summed (see HubLabelIndex.build_work)
+        self.label_witness_searches = 0
+        self.label_witness_settles = 0
+        self.label_shortcuts = 0
+        self.label_levels = 0
         if method == "hub_label" and hub_index is None:
             self._queue_label_work(_LabelWork("build"))
         self._point_cache = LRUCache(point_cache_size)
@@ -375,6 +380,9 @@ class DistanceOracle:
                     self._built = HubLabelIndex(self._network,
                                                 _csr_pair=work.weights)
                     self.label_builds += 1
+                    for name, value in self._built.build_work.items():
+                        setattr(self, f"label_{name}",
+                                getattr(self, f"label_{name}") + value)
                     if work.kind == "build" and self._traffic_touched:
                         # The pristine labels ran late; keep them for reset.
                         self._label_snapshot = self._built.snapshot_labels()

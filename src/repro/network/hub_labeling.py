@@ -39,11 +39,14 @@ build derives labels top-down from that hierarchy instead of running one
 pruned Dijkstra per hub: a node's candidate out-label is the weight-shifted
 merge of its upward neighbours' out-labels, and a candidate entry survives
 only if no higher-ranked hub already certifies an equal-or-shorter distance
-(the CH distance check, evaluated with vectorised array kernels).  That
-construction is several times faster than the Dijkstra sweep at metro scale
-and produces slightly *smaller* labels; explicit orders and the betweenness
-strategy keep the Dijkstra builder, and both builders are query-exact for
-any complete order.
+(the CH distance check).  Everything a node reads belongs to a strict
+ancestor in the upward graph, so the derivation goes one hierarchy *level*
+at a time, and all nodes of a level are merged and checked together with
+vectorised array kernels, in chunks of bounded size.  That construction is
+several times faster than the Dijkstra sweep at metro scale and produces
+slightly *smaller* labels; explicit orders and the betweenness strategy keep
+the Dijkstra builder, and both builders are query-exact for any complete
+order.  Each build reports what it did in :attr:`HubLabelIndex.build_work`.
 
 Storage layout (the perf-critical part):
 
@@ -105,6 +108,15 @@ _EDGE_DIFF_WEIGHT = 4
 #: searches dominate — there the sampled-betweenness ordering with the
 #: pruned-Dijkstra builder is several times faster.
 _CONTRACTION_MAX_AVG_DEGREE = 5.0
+#: Bound on the entries one vectorised step of the level-by-level label
+#: derivation holds: a level's nodes are merged in chunks of at most this
+#: many candidates, and certified in chunks of at most this many gathered
+#: opposite-label entries (a single oversized node or candidate still goes
+#: through alone), so no temporary scales with a level's width times ``n``.
+_LEVEL_CHUNK_ENTRIES = 1 << 16
+#: The integers :attr:`HubLabelIndex.build_work` reports for one build.
+BUILD_WORK_COUNTERS = ("witness_searches", "witness_settles", "shortcuts",
+                       "levels")
 
 
 class HubLabelIndex:
@@ -140,35 +152,39 @@ class HubLabelIndex:
         self._index_of = csr.index_of
         self._num_nodes = csr.num_nodes
         self._identity_ids = csr.node_ids == list(range(csr.num_nodes))
-        hierarchy = None
-        if order is None:
-            if order_strategy == "auto":
-                avg_degree = (csr.indptr_list[csr.num_nodes] / csr.num_nodes
-                              if csr.num_nodes else 0.0)
-                order_strategy = ("contraction"
-                                  if avg_degree <= _CONTRACTION_MAX_AVG_DEGREE
-                                  else "betweenness")
-            if order_strategy == "contraction":
-                order_idx, up_out, up_in = self._contract(csr)
-                ids = csr.node_ids
-                order = [ids[u] for u in order_idx]
-                hierarchy = (order_idx, up_out, up_in)
-            elif order_strategy == "betweenness":
-                order = self._betweenness_order(csr)
-            else:
-                raise ValueError(
-                    f"unknown order_strategy {order_strategy!r}; "
-                    f"expected 'auto', 'contraction' or 'betweenness'")
-        self._order = list(order)
-        # Rank of every node index (used by incremental repair); only a
-        # complete order ranks every node, which repair requires.
-        self._rank_of: dict[int, int] = {
-            self._index_of[hub_id]: rank for rank, hub_id in enumerate(self._order)
-            if hub_id in self._index_of}
         self._attached = False
+        #: what this build did: contraction witness searches and the nodes
+        #: they settled, shortcuts inserted, hierarchy levels derived
+        self.build_work = dict.fromkeys(BUILD_WORK_COUNTERS, 0)
         with current_tracer().span("hub_labels.build"):
+            hierarchy = None
+            if order is None:
+                if order_strategy == "auto":
+                    avg_degree = (csr.indptr_list[csr.num_nodes] / csr.num_nodes
+                                  if csr.num_nodes else 0.0)
+                    order_strategy = ("contraction"
+                                      if avg_degree <= _CONTRACTION_MAX_AVG_DEGREE
+                                      else "betweenness")
+                if order_strategy == "contraction":
+                    order_idx, up_out, up_in, work = self._contract(csr)
+                    self.build_work.update(work)
+                    ids = csr.node_ids
+                    order = [ids[u] for u in order_idx]
+                    hierarchy = (order_idx, up_out, up_in)
+                elif order_strategy == "betweenness":
+                    order = self._betweenness_order(csr)
+                else:
+                    raise ValueError(
+                        f"unknown order_strategy {order_strategy!r}; "
+                        f"expected 'auto', 'contraction' or 'betweenness'")
+            self._order = list(order)
+            # Rank of every node index (used by incremental repair); only a
+            # complete order ranks every node, which repair requires.
+            self._rank_of: dict[int, int] = {
+                self._index_of[hub_id]: rank for rank, hub_id in enumerate(self._order)
+                if hub_id in self._index_of}
             if hierarchy is not None:
-                self._build_from_hierarchy(*hierarchy)
+                self.build_work["levels"] = self._build_from_hierarchy(*hierarchy)
             else:
                 self._build(csr, network.csr(reverse=True) if _csr_pair is None
                             else _csr_pair[1])
@@ -179,16 +195,19 @@ class HubLabelIndex:
     @staticmethod
     def _contract(csr) -> tuple[list[int],
                                 list[list[tuple[int, float]]],
-                                list[list[tuple[int, float]]]]:
+                                list[list[tuple[int, float]]],
+                                dict[str, int]]:
         """Simulated directed contraction (CH style).
 
-        Returns ``(order, up_out, up_in)`` where ``order`` lists node
+        Returns ``(order, up_out, up_in, work)`` where ``order`` lists node
         *indices* most-important-first (reverse contraction order) and
         ``up_out[u]`` / ``up_in[u]`` are the upward out-/in-edges of ``u`` —
         its remaining core edges (original or shortcut, ``(index, weight)``)
         toward later-contracted, i.e. higher-ranked, neighbours, recorded at
         the moment ``u`` was contracted.  Together they form the upward
-        search graph :meth:`_build_from_hierarchy` derives labels from.
+        search graph :meth:`_build_from_hierarchy` derives labels from,
+        and ``work`` counts the witness searches, the nodes they settled and
+        the shortcuts inserted (new edges or tightened ones).
 
         Nodes are contracted cheapest-first by the classic
         ``edge_difference + deleted_neighbours`` priority plus a hierarchy-
@@ -256,8 +275,8 @@ class HubLabelIndex:
                     continue
                 cutoff = max(tgt_vias) + 1e-12
                 # Witness Dijkstra from `a` avoiding `u` (bounded-Dijkstra
-                # kernel over the shared workspace; pop order and float
-                # sums match the historical per-call dict search exactly).
+                # kernel over the shared workspace; its `found` matches the
+                # historical per-call dict search run to `cutoff` exactly).
                 found = workspace.witness(a, u, tgt_nodes, tgt_vias, cutoff,
                                           _WITNESS_SETTLE_CAP)
                 for i, b in enumerate(tgt_nodes):
@@ -275,6 +294,7 @@ class HubLabelIndex:
         order_rev: list[int] = []
         up_out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         up_in: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        inserted = 0
         while heap:
             _, u = heapq.heappop(heap)
             if contracted[u]:
@@ -297,6 +317,7 @@ class HubLabelIndex:
                     adj_out[a][b] = w
                     adj_in[b][a] = w
                     workspace.update_edge(a, b, w)
+                    inserted += 1
             up_out[u] = sorted(adj_out[u].items())
             up_in[u] = sorted(adj_in[u].items())
             for v in adj_in[u].keys() | adj_out[u].keys():
@@ -313,7 +334,9 @@ class HubLabelIndex:
             workspace.clear_node(u)
             contracted[u] = True
             order_rev.append(u)
-        return list(reversed(order_rev)), up_out, up_in
+        work = {"witness_searches": workspace.searches,
+                "witness_settles": workspace.settles, "shortcuts": inserted}
+        return list(reversed(order_rev)), up_out, up_in, work
 
     @staticmethod
     def _betweenness_order(csr) -> list[int]:
@@ -393,19 +416,30 @@ class HubLabelIndex:
 
     def _build_from_hierarchy(self, order_idx: list[int],
                               up_out: list[list[tuple[int, float]]],
-                              up_in: list[list[tuple[int, float]]]) -> None:
+                              up_in: list[list[tuple[int, float]]]) -> int:
         """Derive the labels top-down from the contraction hierarchy.
 
-        Hubs are processed most-important-first.  A node's candidate
-        out-label is its own entry plus the weight-shifted merge of the
-        out-labels of its upward out-neighbours (all higher-ranked, hence
-        already final); ``min`` per hub is taken during the merge.  A
+        A node's candidate out-label is its own entry plus the weight-shifted
+        merge of the out-labels of its upward out-neighbours (all
+        higher-ranked); ``min`` per hub is taken during the merge.  A
         candidate ``(h, d)`` then survives the CH distance check only if no
-        pair of already-final entries certifies ``d(u, x) + d(x, h) <= d``
-        through a strictly higher-ranked hub ``x`` — checked for every
-        candidate at once with one gather + segmented ``minimum.reduceat``
-        against a dense rank-indexed scratch of the candidate distances.
+        pair of entries certifies ``d(u, x) + d(x, h) <= d`` through a
+        strictly higher-ranked hub ``x`` — for every candidate at once, with
+        one gather of ``h``'s in-label + segmented ``minimum.reduceat``.
         In-labels are symmetric (upward in-edges, opposite-side labels).
+
+        Work goes one hierarchy *level* at a time: a node's level is one
+        more than the highest level among its upward out- and in-neighbours
+        (0 with none).  Everything a node reads — its upward neighbours'
+        labels and the opposite-side labels of its candidate hubs — belongs
+        to a strict ancestor in the upward graph, hence to a lower level, so
+        the nodes of one level are independent and each level is derived
+        in one vectorised pass per side, in chunks of nodes (and of
+        candidates, for the check) that keep every temporary under
+        :data:`_LEVEL_CHUNK_ENTRIES` entries.  Each node sees the same float
+        sums, the same stable ``(rank, distance)`` order and the same
+        ``q > d + 1e-12`` test as a node-by-node derivation, so the arrays
+        are bit-identical to one.  Returns the number of levels.
 
         Exactness does not depend on witness quality: every candidate
         distance is a genuine path length, and for any pair the peak hub of
@@ -414,100 +448,39 @@ class HubLabelIndex:
         searches only enlarge the merge input, never the pruned output.
         """
         n = self._num_nodes
-        rank_of = [0] * n
-        for r, u in enumerate(order_idx):
-            rank_of[u] = r
-        out_r: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        out_d: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        in_r: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        in_d: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        # The same labels keyed by rank, for the pruning-side lookups.
-        by_rank_out_r: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        by_rank_out_d: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        by_rank_in_r: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        by_rank_in_d: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        tmp = np.full(n, INFINITY)
-
-        def one_side(ru, up_edges, lab_r, lab_d, opp_by_rank_r, opp_by_rank_d):
-            parts_r = [np.array([ru], dtype=np.int64)]
-            parts_d = [np.array([0.0])]
-            for v, w in up_edges:
-                parts_r.append(lab_r[v])
-                parts_d.append(lab_d[v] + w)
-            cr = np.concatenate(parts_r)
-            cd = np.concatenate(parts_d)
-            if len(cr) > 1:
-                sel = np.lexsort((cd, cr))
-                cr = cr[sel]
-                cd = cd[sel]
-                keep = np.empty(len(cr), dtype=bool)
-                keep[0] = True
-                np.not_equal(cr[1:], cr[:-1], out=keep[1:])
-                cr = cr[keep]
-                cd = cd[keep]
-            if len(cr) <= 1:
-                return cr, cd
-            tmp[cr] = cd
-            self_pos = int(np.searchsorted(cr, ru))
-            cand_pos = np.asarray([i for i in range(len(cr)) if i != self_pos],
-                                  dtype=np.int64)
-            seg_r = []
-            seg_d = []
-            lengths = []
-            for i in cand_pos:
-                lr = opp_by_rank_r[cr[i]]
-                seg_r.append(lr)
-                seg_d.append(opp_by_rank_d[cr[i]])
-                lengths.append(len(lr))
-            all_r = np.concatenate(seg_r)
-            vals = tmp[all_r] + np.concatenate(seg_d)
-            lengths = np.asarray(lengths)
-            # A hub's own label entry (x == h, distance 0) would trivially
-            # "certify" d and delete every candidate; mask it out.
-            vals[all_r == np.repeat(cr[cand_pos], lengths)] = INFINITY
-            starts = np.zeros(len(cand_pos), dtype=np.int64)
-            np.cumsum(lengths[:-1], out=starts[1:])
-            q = np.full(len(cand_pos), INFINITY)
-            nonempty = lengths > 0
-            if nonempty.any():
-                q[nonempty] = np.minimum.reduceat(vals, starts[nonempty])
-            keep_mask = np.ones(len(cr), dtype=bool)
-            keep_mask[cand_pos] = q > cd[cand_pos] + 1e-12
-            tmp[cr] = INFINITY
-            return cr[keep_mask], cd[keep_mask]
-
+        node_of_rank = np.asarray(order_idx, dtype=np.int64)
+        rank_of = np.empty(n, dtype=np.int64)
+        rank_of[node_of_rank] = np.arange(n, dtype=np.int64)
+        level = [0] * n
         for u in order_idx:
-            ru = rank_of[u]
-            r_arr, d_arr = one_side(ru, up_out[u], out_r, out_d,
-                                    by_rank_in_r, by_rank_in_d)
-            out_r[u], out_d[u] = r_arr, d_arr
-            by_rank_out_r[ru], by_rank_out_d[ru] = r_arr, d_arr
-            r_arr, d_arr = one_side(ru, up_in[u], in_r, in_d,
-                                    by_rank_out_r, by_rank_out_d)
-            in_r[u], in_d[u] = r_arr, d_arr
-            by_rank_in_r[ru], by_rank_in_d[ru] = r_arr, d_arr
-
-        def flatten(parts_r, parts_d):
-            indptr = np.zeros(n + 2, dtype=np.int64)
-            if n:
-                np.cumsum([len(p) for p in parts_r], out=indptr[1:n + 1])
-            indptr[n + 1] = indptr[n]
-            if n:
-                flat_r = np.concatenate(parts_r)
-                flat_d = np.concatenate(parts_d)
-            else:
-                flat_r = np.empty(0, dtype=np.int64)
-                flat_d = np.empty(0, dtype=np.float64)
-            return indptr, flat_r, flat_d
-
+            top = -1
+            for v, _ in up_out[u]:
+                top = max(top, level[v])
+            for v, _ in up_in[u]:
+                top = max(top, level[v])
+            level[u] = top + 1
+        levels = max(level) + 1 if n else 0
+        by_level = np.argsort(np.asarray(level, dtype=np.int64), kind="stable")
+        level_ends = np.cumsum(np.bincount(level, minlength=levels))
+        out_labels = _LabelStore(n)
+        in_labels = _LabelStore(n)
+        out_edges = _upward_arrays(up_out)
+        in_edges = _upward_arrays(up_in)
+        for lv in range(levels):
+            nodes = by_level[level_ends[lv - 1] if lv else 0:level_ends[lv]]
+            _derive_level(nodes, rank_of, node_of_rank, out_edges,
+                          out_labels, in_labels)
+            _derive_level(nodes, rank_of, node_of_rank, in_edges,
+                          in_labels, out_labels)
         self._out_indptr, self._out_rank_arr, self._out_dist_arr = \
-            flatten(out_r, out_d)
+            out_labels.flatten()
         self._in_indptr, self._in_rank_arr, self._in_dist_arr = \
-            flatten(in_r, in_d)
+            in_labels.flatten()
         self._patches_out: dict[int, tuple[list[int], list[float]]] = {}
         self._patches_in: dict[int, tuple[list[int], list[float]]] = {}
         self._dirty = False
         self._arange_buf = np.empty(0, dtype=np.int64)
+        return levels
 
     # ------------------------------------------------------------------ #
     # shared-memory attach
@@ -542,6 +515,7 @@ class HubLabelIndex:
                              f"(expected {self._num_nodes + 2} entries, "
                              f"got {len(out_indptr)})")
         self._attached = True
+        self.build_work = dict.fromkeys(BUILD_WORK_COUNTERS, 0)
         self._out_indptr = out_indptr
         self._out_rank_arr = out_ranks
         self._out_dist_arr = out_dists
@@ -1150,6 +1124,137 @@ class HubLabelIndex:
     def memory_info(self) -> dict[str, int]:
         """Label footprint: entry count and resident bytes."""
         return {"entries": self.total_label_entries, "bytes": self.label_bytes}
+
+
+# --------------------------------------------------------------------------- #
+# level-synchronous label derivation (see HubLabelIndex._build_from_hierarchy)
+# --------------------------------------------------------------------------- #
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[i], starts[i] + lens[i])`` ranges."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - (ends - lens), lens) + np.arange(
+        int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+
+
+def _chunks(weights: np.ndarray):
+    """Split ``range(len(weights))`` into consecutive slices whose weight
+    sums stay under :data:`_LEVEL_CHUNK_ENTRIES` (one item at least)."""
+    cum = np.cumsum(weights)
+    lo = 0
+    while lo < len(cum):
+        base = int(cum[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + _LEVEL_CHUNK_ENTRIES,
+                                             side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _upward_arrays(up: list[list[tuple[int, float]]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upward edges as CSR arrays ``(indptr, targets, weights)``."""
+    indptr = np.zeros(len(up) + 1, dtype=np.int64)
+    np.cumsum([len(edges) for edges in up], out=indptr[1:])
+    total = int(indptr[-1])
+    targets = np.fromiter((v for edges in up for v, _ in edges),
+                          dtype=np.int64, count=total)
+    weights = np.fromiter((w for edges in up for _, w in edges),
+                          dtype=np.float64, count=total)
+    return indptr, targets, weights
+
+
+class _LabelStore:
+    """One side's labels, appended level by level to growing flat arrays."""
+
+    def __init__(self, n: int) -> None:
+        self.start = np.zeros(n, dtype=np.int64)
+        self.size = np.zeros(n, dtype=np.int64)
+        self.ranks = np.empty(4 * n + 16, dtype=np.int64)
+        self.dists = np.empty(4 * n + 16, dtype=np.float64)
+        self.fill = 0
+
+    def entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of ``nodes``' labels, and each label's length."""
+        lens = self.size[nodes]
+        return _ranges(self.start[nodes], lens), lens
+
+    def append(self, nodes: np.ndarray, sizes: np.ndarray,
+               ranks: np.ndarray, dists: np.ndarray) -> None:
+        end = self.fill + len(ranks)
+        if end > len(self.ranks):
+            cap = max(end, 2 * len(self.ranks))
+            self.ranks = np.resize(self.ranks, cap)
+            self.dists = np.resize(self.dists, cap)
+        self.ranks[self.fill:end] = ranks
+        self.dists[self.fill:end] = dists
+        self.start[nodes] = self.fill + np.cumsum(sizes) - sizes
+        self.size[nodes] = sizes
+        self.fill = end
+
+    def flatten(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The finalized ``(indptr, ranks, dists)`` layout, in node order."""
+        n = len(self.size)
+        indptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(self.size, out=indptr[1:n + 1])
+        indptr[n + 1] = indptr[n]
+        flat = _ranges(self.start, self.size)
+        return indptr, self.ranks[flat], self.dists[flat]
+
+
+def _derive_level(nodes: np.ndarray, rank_of: np.ndarray,
+                  node_of_rank: np.ndarray, edges, labels: _LabelStore,
+                  opposite: _LabelStore) -> None:
+    """Derive one side's labels for every node of one hierarchy level."""
+    indptr, targets, weights = edges
+    e_lens = indptr[nodes + 1] - indptr[nodes]
+    e_idx = _ranges(indptr[nodes], e_lens)
+    # Candidates per node: its own entry plus its upward neighbours' labels.
+    cum = np.concatenate(([0], np.cumsum(labels.size[targets[e_idx]])))
+    e_ends = np.cumsum(e_lens)
+    weight = 1 + cum[e_ends] - cum[e_ends - e_lens]
+    n = len(rank_of)
+    for part in _chunks(weight):
+        chunk = nodes[part]
+        m = len(chunk)
+        lens = e_lens[part]
+        edge = _ranges(indptr[chunk], lens)
+        flat, label_lens = labels.entries(targets[edge])
+        own = rank_of[chunk]
+        owner = np.concatenate((np.arange(m, dtype=np.int64), np.repeat(
+            np.repeat(np.arange(m, dtype=np.int64), lens), label_lens)))
+        cr = np.concatenate((own, labels.ranks[flat]))
+        cd = np.concatenate((np.zeros(m), labels.dists[flat] + np.repeat(
+            weights[edge], label_lens)))
+        # Minimum per (node, hub): a stable sort keeps each node's merge
+        # order among exact ties, as the node-by-node merge does.
+        sel = np.lexsort((cd, cr, owner))
+        owner, cr, cd = owner[sel], cr[sel], cd[sel]
+        first = np.empty(len(cr), dtype=bool)
+        first[0] = True
+        np.not_equal(cr[1:], cr[:-1], out=first[1:])
+        first[1:] |= owner[1:] != owner[:-1]
+        owner, cr, cd = owner[first], cr[first], cd[first]
+        # CH check of every candidate but a node's own entry: the best
+        # certificate through a higher hub x of h's opposite-side label,
+        # reading d(u, x) from u's candidates (sorted (node, rank) keys).
+        keys = owner * n + cr
+        keep = np.ones(len(cr), dtype=bool)
+        cand = np.flatnonzero(cr != own[owner])
+        hubs = node_of_rank[cr[cand]]
+        for sub in _chunks(opposite.size[hubs]):
+            c = cand[sub]
+            flat, seg_lens = opposite.entries(hubs[sub])
+            xs = opposite.ranks[flat]
+            probe = np.repeat(owner[c] * n, seg_lens) + xs
+            pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+            vals = np.where(keys[pos] == probe, cd[pos], INFINITY)
+            vals += opposite.dists[flat]
+            # A hub's own label entry (x == h, distance 0) would trivially
+            # "certify" d and delete every candidate; mask it out.
+            vals[xs == np.repeat(cr[c], seg_lens)] = INFINITY
+            q = np.minimum.reduceat(vals, np.cumsum(seg_lens) - seg_lens)
+            keep[c] = q > cd[c] + 1e-12
+        labels.append(chunk, np.bincount(owner[keep], minlength=m),
+                      cr[keep], cd[keep])
 
 
 __all__ = ["HubLabelIndex"]

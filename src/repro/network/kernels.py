@@ -334,8 +334,8 @@ class ContractionWorkspace:
 
     The python backend shares the contraction's ``adj_out`` dict-of-dicts
     and replaces the historical per-call ``dist`` dict / ``seen`` set with
-    stamp-versioned preallocated buffers (same heap tuples, same pops —
-    bit-identical searches, no per-call allocation).  The numba backend
+    stamp-versioned preallocated buffers (same heap tuples and ``found``
+    lists, no per-call allocation).  The numba backend
     additionally mirrors the *out*-adjacency as linked-chain arrays
     (``head``/``edge_to``/``edge_wt``/``edge_next``) that the compiled
     witness kernel traverses; the mutators keep the mirror in sync with
@@ -351,6 +351,10 @@ class ContractionWorkspace:
         self._backend = backend if backend is not None else kernel_backend()
         self._stamp = 0
         self._dist_l: list[float] = []
+        #: witness searches run, and nodes they settled (python backend
+        #: only: the compiled twin reports ``found`` alone)
+        self.searches = 0
+        self.settles = 0
         if self._backend == "numba":
             total = 0
             for nbrs in adj_out:
@@ -447,7 +451,17 @@ class ContractionWorkspace:
         ``found[i]`` reports whether a witness path to ``tgt_nodes[i]`` no
         longer than ``tgt_vias[i] + 1e-12`` was certified within ``cutoff``
         and ``settle_cap`` settles; unfound targets need a shortcut.
+
+        The python search stops, and stops pushing, at the largest
+        ``tgt_vias[i] + 1e-12`` among targets not yet found (capped by
+        ``cutoff``) instead of at ``cutoff`` itself.  Every pop up to that
+        bound is the pop of a search run to ``cutoff`` — a pruned push lies
+        past the bound, and the bound never grows — and no later pop can
+        satisfy an unfound target's ``d <= via + 1e-12``, so ``found`` is
+        the same list, with or without a binding ``settle_cap``; only the
+        wasted settles go.
         """
+        self.searches += 1
         if self._backend != "numba":
             return self._witness_python(source, banned, tgt_nodes, tgt_vias,
                                         cutoff, settle_cap)
@@ -469,7 +483,7 @@ class ContractionWorkspace:
                         settle_cap):
         # Extracted from HubLabelIndex._contract's per-in-neighbour witness
         # Dijkstra (PR 6); per-call dict/set state replaced by the shared
-        # stamped buffers.  Same heap tuples, same pop order, same results.
+        # stamped buffers; :meth:`witness` gives the stop rule.
         adj_out = self._adj_out
         dist = self._dist_l
         dstamp = self._dstamp_l
@@ -481,6 +495,10 @@ class ContractionWorkspace:
             pos[b] = i
         found = [False] * len(tgt_nodes)
         remaining = len(tgt_nodes)
+        # No pop past the largest ``via + 1e-12`` of an unfound target can
+        # find one, so that (capped by ``cutoff``) ends the search; it only
+        # shrinks as targets are found.
+        bound = min(cutoff, max(tgt_vias) + 1e-12) if remaining else cutoff
         dist[source] = 0.0
         dstamp[source] = sid
         heap: list[tuple[float, int]] = [(0.0, source)]
@@ -491,7 +509,7 @@ class ContractionWorkspace:
                 continue
             sstamp[x] = sid
             budget -= 1
-            if d > cutoff:
+            if d > bound:
                 break
             i = pos.get(x)
             if i is not None and not found[i] and d <= tgt_vias[i] + 1e-12:
@@ -499,14 +517,18 @@ class ContractionWorkspace:
                 remaining -= 1
                 if not remaining:
                     break
+                if tgt_vias[i] + 1e-12 >= bound:
+                    bound = min(cutoff, max(
+                        [v for v, f in zip(tgt_vias, found, strict=True) if not f]) + 1e-12)
             for y, w in adj_out[x].items():
                 if y == banned or sstamp[y] == sid:
                     continue
                 nd = d + w
-                if nd <= cutoff and (dstamp[y] != sid or nd < dist[y]):
+                if nd <= bound and (dstamp[y] != sid or nd < dist[y]):
                     dist[y] = nd
                     dstamp[y] = sid
                     heapq.heappush(heap, (nd, y))
+        self.settles += settle_cap - budget
         return found
 
 

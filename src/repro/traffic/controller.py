@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.network.distance_oracle import DistanceOracle, TrafficRepairStats
+from repro.network.hub_labeling import BUILD_WORK_COUNTERS
 from repro.traffic.events import TrafficEvent, TrafficTimeline
 
 #: The oracle's label-work counters a :class:`TrafficLog` mirrors.
 LABEL_WORK_COUNTERS = ("label_builds", "label_repairs_run",
-                       "label_repairs_superseded")
+                       "label_repairs_superseded",
+                       *(f"label_{name}" for name in BUILD_WORK_COUNTERS))
 
 
 @dataclass
@@ -36,7 +38,8 @@ class TrafficLog:
     ``repairs`` / ``rebuilds`` count the label *decisions* of its updates;
     the ``label_*`` fields count the label work the oracle actually ran
     (full builds, repairs) or dropped unrun (repairs a later rebuild
-    superseded) since the controller was attached.
+    superseded) since the controller was attached, and what those builds
+    did (witness searches and settles, shortcuts, hierarchy levels).
     """
 
     advances: int = 0
@@ -50,6 +53,10 @@ class TrafficLog:
     label_builds: int = 0
     label_repairs_run: int = 0
     label_repairs_superseded: int = 0
+    label_witness_searches: int = 0
+    label_witness_settles: int = 0
+    label_shortcuts: int = 0
+    label_levels: int = 0
     reports: list[TrafficRepairStats] = field(default_factory=list)
 
     def record(self, stats: TrafficRepairStats) -> None:

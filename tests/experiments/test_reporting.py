@@ -103,6 +103,19 @@ class TestFormatTelemetryReport:
                 "(decided: 2 repairs, 2 rebuilds)") in report
         assert "hub labels" not in format_telemetry_report(_telemetry())
 
+    def test_footer_reports_what_the_label_builds_did(self):
+        telemetry = _telemetry()
+        telemetry.counters.update({
+            "traffic.label_builds": 2.0, "traffic.label_repairs_run": 0.0,
+            "traffic.label_repairs_superseded": 2.0, "traffic.repairs": 2.0,
+            "traffic.rebuilds": 2.0, "traffic.label_witness_searches": 16536.0,
+            "traffic.label_witness_settles": 275168.0,
+            "traffic.label_shortcuts": 3970.0, "traffic.label_levels": 38.0})
+        report = format_telemetry_report(telemetry)
+        assert ("rebuilds); builds ran 16,536 witness searches (275,168 "
+                "settles), inserted 3,970 shortcuts and derived 38 hierarchy "
+                "levels") in report
+
     def test_counterless_telemetry_has_no_footer(self):
         tracer = Tracer()
         with tracer.span("engine.window"):

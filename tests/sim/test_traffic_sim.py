@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro import obs
 from repro.core.greedy import GreedyPolicy
+from repro.network import distance_oracle
 from repro.network.distance_oracle import DistanceOracle
 from repro.network.generators import grid_city
 from repro.network.graph import TimeProfile
+from repro.network.hub_labeling import BUILD_WORK_COUNTERS
 from repro.network.shortest_path import dijkstra
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
@@ -136,6 +139,43 @@ class TestSimulationUnderTraffic:
         log = simulator.traffic.log
         assert log.rebuilds == log.label_builds == 4
         assert log.repairs == log.label_repairs_run == log.label_repairs_superseded == 0
+
+    def test_build_work_is_summed_over_builds_and_folded(self, monkeypatch):
+        # Same four-rebuild timeline; the oracle sums what each build did
+        # and the run's telemetry carries the sums as traffic.* counters.
+        network = flat_grid()
+        timeline = TrafficTimeline((everywhere_incident(0.0, 900.0, network),
+                                    everywhere_incident(1500.0, 2100.0, network)))
+        orders = [order_at(i, restaurant=7, customer=28, placed_at=60.0 + 240.0 * i)
+                  for i in range(6)]
+        scenario = manual_scenario(orders, [Vehicle(vehicle_id=0, node=0)],
+                                   network=network, traffic=timeline)
+        built = []
+        real = distance_oracle.HubLabelIndex
+
+        def recording(*args, **kwargs):
+            index = real(*args, **kwargs)
+            built.append(index.build_work)
+            return index
+
+        monkeypatch.setattr(distance_oracle, "HubLabelIndex", recording)
+        oracle = DistanceOracle(network, method="hub_label")
+        cost_model = CostModel(oracle)
+        obs.set_mode("summary")
+        try:
+            result = Simulator(scenario, GreedyPolicy(cost_model), cost_model,
+                               SimulationConfig(delta=300.0, start=0.0,
+                                                end=3600.0)).run()
+        finally:
+            obs.set_mode("off")
+        assert len(built) == oracle.label_builds == 4
+        counters = result.telemetry.counters
+        for name in BUILD_WORK_COUNTERS:
+            total = sum(work[name] for work in built)
+            assert getattr(oracle, f"label_{name}") == total
+            assert counters[f"traffic.label_{name}"] == total
+        assert counters["traffic.label_levels"] > 0
+        assert counters["traffic.label_witness_searches"] > 0
 
     def test_labels_built_once_at_construction_without_traffic(self):
         network = flat_grid()
