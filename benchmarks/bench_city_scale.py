@@ -22,30 +22,17 @@ Exactness is asserted before any timing: the contraction index is checked
 against Dijkstra ground truth, repaired labels against a from-scratch
 rebuild, and every shared-memory worker's query block against the owner's.
 
-PR 10 adds a ``--kernel-tier`` mode (``BENCH_PR10.json``): the same metro
-grid grown past 100k nodes (``--nodes 120k``), timing the contraction
-build, bounded-Dijkstra witness throughput, incremental repair,
-``query_block`` and explorer window throughput once per available kernel
-backend (python always; numba when importable).  Cross-backend
-``result_fingerprint`` identity is asserted before every timer; on a
-numba-less host the numba series is recorded as ``null`` rather than
-faked.
-
 Run::
 
     PYTHONPATH=src python benchmarks/bench_city_scale.py          # full, 50k+
     PYTHONPATH=src python benchmarks/bench_city_scale.py --smoke  # CI, 5k
-    PYTHONPATH=src python benchmarks/bench_city_scale.py --kernel-tier \
-        --nodes 120k                                              # BENCH_PR10
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import multiprocessing
-import os
 import pathlib
 import pickle
 import random
@@ -53,21 +40,17 @@ import time
 
 from _bench_utils import REPO_ROOT, graph_info, write_bench_json
 
-from repro.network import kernels
 from repro.network.distance_oracle import DistanceOracle, _changed_nodes
 from repro.network.generators import metro_grid
 from repro.network.graph import TimeProfile
 from repro.network.hub_labeling import HubLabelIndex
 from repro.network.shared import attach_network, pack_network
 from repro.network.shortest_path import (
-    BestFirstExplorer,
     _csr_dijkstra_all,
     dijkstra_all,
 )
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_PR6.json"
-KERNEL_TIER_OUT = REPO_ROOT / "BENCH_PR10.json"
-INFINITY = math.inf
 
 
 def _metro(rows: int, cols: int):
@@ -310,230 +293,6 @@ def bench_shared_memory(rows: int, cols: int,
     }
 
 
-# --------------------------------------------------------------------------- #
-# PR 10 kernel tier: python-vs-numba backend series (BENCH_PR10.json)
-# --------------------------------------------------------------------------- #
-
-def _parse_nodes(text: str) -> int:
-    t = text.strip().lower()
-    return int(float(t[:-1]) * 1000) if t.endswith("k") else int(t)
-
-
-def _available_backends() -> list[str]:
-    """python always; numba only when ``auto`` actually resolves to it."""
-    resolved = kernels.set_kernel_backend("auto")
-    return ["python", "numba"] if resolved == "numba" else ["python"]
-
-
-def _assert_identical(fingerprints: dict[str, str], context: str) -> None:
-    values = set(fingerprints.values())
-    assert len(values) <= 1, \
-        f"{context}: cross-backend fingerprint mismatch across {sorted(fingerprints)}"
-
-
-def _series(seconds: dict[str, float], units: int = 1) -> dict:
-    """Per-backend timing block with the numba-vs-python speedup (or null)."""
-    py = seconds["python"]
-    nb = seconds.get("numba")
-    return {
-        "python_seconds": py,
-        "numba_seconds": nb,
-        "python_ops_per_sec": units / py,
-        "numba_ops_per_sec": (units / nb) if nb else None,
-        "speedup": (py / nb) if nb else None,
-    }
-
-
-def _adjacency_maps(network):
-    """The contraction loop's initial adjacency dicts (see ``_contract``)."""
-    csr = network.csr()
-    n = csr.num_nodes
-    indptr, indices, weights = csr.indptr_list, csr.indices_list, csr.weights_list
-    adj_out: list[dict[int, float]] = [{} for _ in range(n)]
-    adj_in: list[dict[int, float]] = [{} for _ in range(n)]
-    for u in range(n):
-        for j in range(indptr[u], indptr[u + 1]):
-            v, w = indices[j], weights[j]
-            if v == u or w == INFINITY:
-                continue
-            old = adj_out[u].get(v)
-            if old is None or w < old:
-                adj_out[u][v] = w
-                adj_in[v][u] = w
-    return adj_out, adj_in
-
-
-def _witness_calls(adj_out, adj_in, samples: int, rng: random.Random):
-    """Sampled witness-search invocations in the exact ``_contract`` shape."""
-    calls = []
-    candidates = rng.sample(range(len(adj_out)), min(4 * samples, len(adj_out)))
-    for u in candidates:
-        in_nbrs = sorted(adj_in[u].items())
-        out_nbrs = sorted(adj_out[u].items())
-        if not in_nbrs or not out_nbrs:
-            continue
-        a, wa = in_nbrs[0]
-        tgt_nodes, tgt_vias = [], []
-        for b, wb in out_nbrs:
-            if b != a:
-                tgt_nodes.append(b)
-                tgt_vias.append(wa + wb)
-        if not tgt_nodes:
-            continue
-        calls.append((a, u, tgt_nodes, tgt_vias, max(tgt_vias) + 1e-12))
-        if len(calls) >= samples:
-            break
-    return calls
-
-
-def bench_kernel_tier(num_nodes: int, repeats: int,
-                      min_build_speedup: float = 0.0,
-                      min_witness_speedup: float = 0.0) -> dict:
-    side = max(2, round(math.sqrt(num_nodes)))
-    network = _metro(side, side)
-    network.csr()
-    network.csr(reverse=True)
-    backends = _available_backends()
-    rng = random.Random(10)
-    all_nodes = network.nodes
-    results: dict[str, dict] = {}
-
-    def measure(name, workload, fingerprint_fn, timed_fn, units=1):
-        """Fingerprint every backend, assert identity, THEN time each."""
-        prints = {}
-        for backend in backends:
-            kernels.set_kernel_backend(backend)
-            prints[backend] = fingerprint_fn()
-        _assert_identical(prints, name)
-        seconds = {}
-        for backend in backends:
-            kernels.set_kernel_backend(backend)
-            seconds[backend] = _best_time(timed_fn, repeats)
-        results[name] = {
-            "workload": workload,
-            "fingerprint_identical": True,
-            **_series(seconds, units),
-        }
-
-    # --- contraction-ordered build -------------------------------------- #
-    q_src = rng.sample(all_nodes, 100)
-    q_tgt = rng.sample(all_nodes, 100)
-    built: dict[str, HubLabelIndex] = {}
-
-    def build_fingerprint():
-        index = HubLabelIndex(network, order_strategy="contraction")
-        built[kernels.kernel_backend()] = index
-        return repr((index.total_label_entries, index.hub_order[:50],
-                     index.query_many(q_src, q_tgt).tolist()))
-
-    measure("contraction_build",
-            f"contraction-ordered hub-label build, {network.num_nodes}-node "
-            f"metro grid",
-            build_fingerprint,
-            lambda: HubLabelIndex(network, order_strategy="contraction"))
-
-    # --- bounded-Dijkstra witness throughput ---------------------------- #
-    adj_out, adj_in = _adjacency_maps(network)
-    calls = _witness_calls(adj_out, adj_in, samples=3000, rng=rng)
-    n = network.num_nodes
-
-    def witness_pass():
-        ws = kernels.contraction_workspace(n, adj_out)
-        return [ws.witness(a, u, tgts, vias, cutoff, 100)
-                for a, u, tgts, vias, cutoff in calls]
-
-    measure("witness_search",
-            f"{len(calls)} bounded witness Dijkstras (settle cap 100) on the "
-            f"uncontracted adjacency",
-            lambda: repr(witness_pass()),
-            witness_pass, units=len(calls))
-
-    # --- batched query_block -------------------------------------------- #
-    blk_src = rng.sample(all_nodes, 200)
-    blk_tgt = rng.sample(all_nodes, 200)
-
-    measure("query_block",
-            "200x200 query_block on the built index",
-            lambda: repr(built[kernels.kernel_backend()]
-                         .query_block(blk_src, blk_tgt).tolist()),
-            lambda: built[kernels.kernel_backend()].query_block(blk_src, blk_tgt))
-
-    # --- explorer window throughput ------------------------------------- #
-    window_srcs = rng.sample(all_nodes, 64)
-
-    def window_pass():
-        return [list(itertools.islice(BestFirstExplorer(network, src), 64))
-                for src in window_srcs]
-
-    measure("window_throughput",
-            f"{len(window_srcs)} best-first vehicle-search windows "
-            f"(64 settles each)",
-            lambda: repr(window_pass()),
-            window_pass, units=len(window_srcs))
-
-    # --- incremental repair ---------------------------------------------- #
-    changes = _localized_incident(network, rng, num_edges=3, probes=16,
-                                  factor=2.5)
-    csr = network.csr()
-    rcsr = network.csr(reverse=True)
-    index_of = csr.index_of
-    affected_out: set[int] = set()
-    affected_in: set[int] = set()
-    node_ids = csr.node_ids
-    for (u, v), factor in changes.items():
-        head, tail = index_of[v], index_of[u]
-        old_to_head = _csr_dijkstra_all(rcsr, head)
-        old_from_tail = _csr_dijkstra_all(csr, tail)
-        network.set_edge_override(u, v, factor)
-        affected_out |= {node_ids[i] for i in _changed_nodes(
-            old_to_head, _csr_dijkstra_all(rcsr, head))}
-        affected_in |= {node_ids[i] for i in _changed_nodes(
-            old_from_tail, _csr_dijkstra_all(csr, tail))}
-
-    def repair_fingerprint():
-        index = built[kernels.kernel_backend()]
-        index.repair(affected_out, affected_in)
-        return repr(index.query_many(q_src, q_tgt).tolist())
-
-    measure("pruned_repair",
-            f"{len(changes)}-edge localised incident, "
-            f"{len(affected_out)}+{len(affected_in)} affected labels",
-            repair_fingerprint,
-            lambda: built[kernels.kernel_backend()].repair(affected_out,
-                                                           affected_in))
-    for edge in changes:
-        network.set_edge_override(*edge, 1.0)
-
-    # Gate (CI smoke): the whole point of the compiled tier.
-    if "numba" in backends:
-        build_speedup = results["contraction_build"]["speedup"]
-        witness_speedup = results["witness_search"]["speedup"]
-        assert build_speedup >= min_build_speedup, \
-            f"build speedup {build_speedup:.2f}x < {min_build_speedup}x gate"
-        assert witness_speedup >= min_witness_speedup, \
-            f"witness speedup {witness_speedup:.2f}x < {min_witness_speedup}x gate"
-
-    kernels.set_kernel_backend("auto")
-    return {"network": network, "index": built[backends[-1]],
-            "backends": backends, "results": results}
-
-
-def run_kernel_tier(nodes_text: str, repeats: int, out_path: pathlib.Path,
-                    min_build_speedup: float,
-                    min_witness_speedup: float) -> dict:
-    num_nodes = _parse_nodes(nodes_text)
-    tier = bench_kernel_tier(num_nodes, repeats,
-                             min_build_speedup=min_build_speedup,
-                             min_witness_speedup=min_witness_speedup)
-    return write_bench_json(
-        out_path,
-        "PR10 compiled kernel tier: optional-JIT Dijkstra/witness/merge-join "
-        "inner loops, python-vs-numba series on a metro grid",
-        num_nodes < 100_000, tier["results"],
-        network=tier["network"], index=tier["index"],
-        kernel_backends=tier["backends"])
-
-
 def run(smoke: bool = False, out_path: pathlib.Path = DEFAULT_OUT) -> dict:
     if smoke:
         results = {
@@ -560,37 +319,7 @@ def main() -> None:
                         help="5k-node city for CI; full mode runs 50k+ nodes")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="where to write the JSON results")
-    parser.add_argument("--kernel-tier", action="store_true",
-                        help="run the PR 10 python-vs-numba kernel series "
-                             "instead of the PR 6 suite (BENCH_PR10.json)")
-    parser.add_argument("--nodes", default="120k", metavar="N",
-                        help="kernel-tier grid size, e.g. 120k or 5041 "
-                             "(default: 120k)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timing repeats per kernel (default: 1 full, "
-                             "2 under 100k nodes)")
-    parser.add_argument("--min-build-speedup", type=float, default=0.0,
-                        help="fail unless numba build speedup reaches this "
-                             "(CI gate; ignored without numba)")
-    parser.add_argument("--min-witness-speedup", type=float, default=0.0,
-                        help="fail unless numba witness throughput speedup "
-                             "reaches this (CI gate; ignored without numba)")
     args = parser.parse_args()
-    if args.kernel_tier:
-        out = args.out or KERNEL_TIER_OUT
-        repeats = args.repeats or (2 if _parse_nodes(args.nodes) < 100_000
-                                   else 1)
-        payload = run_kernel_tier(args.nodes, repeats, out,
-                                  args.min_build_speedup,
-                                  args.min_witness_speedup)
-        for name, result in payload["kernels"].items():
-            speedup = (f"{result['speedup']:.1f}x numba"
-                       if result["speedup"] else "python only")
-            print(f"{name}: {speedup} "
-                  f"(python {result['python_seconds']:.3f}s) "
-                  f"— {result['workload']}")
-        print(f"wrote {out}")
-        return
     out = args.out or DEFAULT_OUT
     payload = run(smoke=args.smoke, out_path=out)
     for name, result in payload["kernels"].items():

@@ -1,11 +1,7 @@
 """Setuptools configuration for the reproduction package.
 
 Kept deliberately minimal so ``pip install -e .`` works in offline
-environments without ``wheel`` or network access.  The only optional
-dependency group is ``[speed]``, which pulls in numba for the compiled
-kernel tier (``repro.network.kernels``); without it the package runs
-entirely on the pure-python/numpy kernels and logs a single obs.log
-notice the first time the compiled backend is requested but unavailable.
+environments without ``wheel`` or network access.
 """
 from setuptools import find_packages, setup
 
@@ -18,10 +14,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
-    extras_require={
-        # Optional compiled kernel tier.  The floor matches
-        # repro.network.kernels.NUMBA_FLOOR: 0.57 is the first numba with
-        # reliable on-disk caching (njit(cache=True)) on python 3.10+.
-        "speed": ["numba>=0.57"],
-    },
 )

@@ -50,7 +50,6 @@ from collections.abc import Sequence
 
 from repro import obs
 from repro.experiments import figures
-from repro.network import kernels
 from repro.experiments.executor import set_default_jobs
 from repro.experiments.reporting import (
     format_cache_report,
@@ -170,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="enable structured logging on the 'repro' logger "
                               "at this level (debug, info, warning, ...); "
                               "silent by default")
-        sub.add_argument("--kernel-backend", choices=list(kernels.KERNEL_BACKENDS),
-                         default=None,
-                         help="graph kernel implementation: 'numba' requires "
-                              "the compiled tier (pip install .[speed]), "
-                              "'python' forces the reference loops, 'auto' "
-                              "picks numba when importable (default: auto, "
-                              "or the REPRO_KERNEL_BACKEND env var)")
 
     def add_obs_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--obs", choices=list(obs.OBS_MODES), default="off",
@@ -612,10 +604,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             obs.configure_logging(args.log_level)
         except ValueError as exc:
             parser.error(str(exc))
-    try:
-        kernels.set_kernel_backend(getattr(args, "kernel_backend", None))
-    except ValueError as exc:
-        parser.error(str(exc))
     obs_mode = getattr(args, "obs", "off")
     if getattr(args, "trace_out", None) and obs_mode != "trace":
         parser.error("--trace-out requires --obs trace")

@@ -56,7 +56,6 @@ from repro.experiments.runner import (
     materialize,
     run_setting,
 )
-from repro.network.kernels import kernel_backend_setting, set_kernel_backend
 from repro.obs import get_mode, set_mode
 from repro.obs.log import get_logger
 from repro.obs.trace import merge_traces
@@ -175,19 +174,17 @@ def replicate_cells(setting: ExperimentSetting,
 # worker side
 # --------------------------------------------------------------------------- #
 #: (cell index, profile name, setting kwargs, policy name, policy options,
-#:  observability mode, kernel backend setting)
-_CellPayload = tuple[int, str, dict[str, object], str, tuple, str, str]
+#:  observability mode)
+_CellPayload = tuple[int, str, dict[str, object], str, tuple, str]
 
 
 def _cell_payload(index: int, cell: ExperimentCell) -> _CellPayload:
     setting_kwargs = {f.name: getattr(cell.setting, f.name)
                       for f in fields(ExperimentSetting) if f.name != "profile"}
-    # The driver's --obs mode and --kernel-backend setting ride in the
-    # payload so workers honour them even under a spawn start method
-    # (fork-inherited workers already match).
+    # The driver's --obs mode rides in the payload so workers honour it
+    # even under a spawn start method (fork-inherited workers already match).
     return (index, cell.setting.profile.name, setting_kwargs,
-            cell.policy.name, cell.policy.options, get_mode(),
-            kernel_backend_setting())
+            cell.policy.name, cell.policy.options, get_mode())
 
 
 def _run_cell(setting: ExperimentSetting, spec: PolicySpec) -> SimulationResult:
@@ -237,10 +234,9 @@ def _worker_init(registry: dict[str, str]) -> None:
 def _worker_run(payload: _CellPayload) -> tuple[int, SimulationResult | None,
                                                 str | None]:
     (index, profile_name, setting_kwargs, policy_name, policy_options,
-     obs_mode, kernel_backend) = payload
+     obs_mode) = payload
     try:
         set_mode(obs_mode)
-        set_kernel_backend(kernel_backend)
         profile = PROFILE_REGISTRY.get(profile_name)
         if profile is None:
             raise KeyError(

@@ -177,9 +177,6 @@ def format_telemetry_report(telemetry,
         if delta or stretch != 1.0:
             report += (f"\nquality given up: matching {delta:+.2f}% "
                        f"objective, path stretch {stretch:.3f}x")
-    backend = telemetry.meta.get("kernel_backend")
-    if backend is not None:
-        report += f"\ngraph kernels: {backend} backend"
     return report
 
 

@@ -234,11 +234,10 @@ class HubLabelIndex:
                 if old is None or w < old:
                     adj_out[u][v] = w
                     adj_in[v][u] = w
-        # Reusable witness-search state (stamped buffers; on the numba
-        # backend also a linked-chain mirror of the out-adjacency that the
-        # compiled bounded-Dijkstra kernel traverses).  The dicts above stay
-        # authoritative for the priority bookkeeping either way.
-        workspace = _kernels.contraction_workspace(n, adj_out)
+        # Reusable witness-search state: stamped buffers over the shared
+        # ``adj_out`` dicts, which shortcut insertion and node removal below
+        # update in place.
+        workspace = _kernels.ContractionWorkspace(n, adj_out)
         deleted = [0] * n
         level = [0] * n
 
@@ -316,7 +315,6 @@ class HubLabelIndex:
                 if old is None or w < old:
                     adj_out[a][b] = w
                     adj_in[b][a] = w
-                    workspace.update_edge(a, b, w)
                     inserted += 1
             up_out[u] = sorted(adj_out[u].items())
             up_in[u] = sorted(adj_in[u].items())
@@ -328,10 +326,8 @@ class HubLabelIndex:
                 del adj_in[v][u]
             for v in adj_in[u]:
                 del adj_out[v][u]
-                workspace.remove_edge(v, u)
             adj_out[u].clear()
             adj_in[u].clear()
-            workspace.clear_node(u)
             contracted[u] = True
             order_rev.append(u)
         work = {"witness_searches": workspace.searches,
@@ -400,9 +396,7 @@ class HubLabelIndex:
 
         The sweep itself — one forward and one backward pruned search per
         hub plus the flatten — lives in :func:`repro.network.kernels
-        .pruned_labeling`, which runs the extracted python reference or
-        its compiled twin depending on the session's kernel backend (the
-        label arrays are bit-identical either way).
+        .pruned_labeling`.
         """
         index_of = self._index_of
         order_idx = [index_of[hub_id] for hub_id in self._order]
@@ -676,8 +670,7 @@ class HubLabelIndex:
             # Merge any overlays from an earlier repair first: the label
             # values read below are identical either way (overlay contents
             # equal their merged slices), but it makes the flat arrays
-            # authoritative — which the compiled selection kernel reads
-            # directly — and keeps both backends on the same data.
+            # authoritative.
             self._ensure_arrays()
             csr, rcsr = _csr_pair or (self._network.csr(),
                                       self._network.csr(reverse=True))
@@ -691,98 +684,24 @@ class HubLabelIndex:
             # fresh search.
             fwd = {idx: _csr_sssp(csr, idx) for idx in affected_out_idx}
             rev = {idx: _csr_sssp(rcsr, idx) for idx in affected_in_idx}
-            if _kernels.kernel_backend() == "numba":
-                repaired = self._repair_select_kernel(
-                    affected_out_idx, affected_in_idx, fwd, rev, rank_of)
-            else:
-                idx_of_rank = [0] * self._num_nodes
-                for i, r in rank_of.items():
-                    idx_of_rank[r] = i
-                scratch = [INFINITY] * self._num_nodes
-                repaired = 0
-                for idx in affected_out_idx:
-                    self._patches_out[idx] = self._pruned_label(
-                        fwd[idx], rank_of, self._in_label, rev, idx_of_rank,
-                        scratch)
-                    repaired += 1
-                for idx in affected_in_idx:
-                    self._patches_in[idx] = self._pruned_label(
-                        rev[idx], rank_of, self._out_label, fwd, idx_of_rank,
-                        scratch)
-                    repaired += 1
+            idx_of_rank = [0] * self._num_nodes
+            for i, r in rank_of.items():
+                idx_of_rank[r] = i
+            scratch = [INFINITY] * self._num_nodes
+            repaired = 0
+            for idx in affected_out_idx:
+                self._patches_out[idx] = self._pruned_label(
+                    fwd[idx], rank_of, self._in_label, rev, idx_of_rank,
+                    scratch)
+                repaired += 1
+            for idx in affected_in_idx:
+                self._patches_in[idx] = self._pruned_label(
+                    rev[idx], rank_of, self._out_label, fwd, idx_of_rank,
+                    scratch)
+                repaired += 1
             if repaired:
                 self._dirty = True
             return repaired
-
-    def _repair_select_kernel(self, affected_out_idx: list[int],
-                              affected_in_idx: list[int],
-                              fwd: dict[int, dict[int, float]],
-                              rev: dict[int, dict[int, float]],
-                              rank_of: dict[int, int]) -> int:
-        """Numba-backend label re-selection (same pruning as ``_pruned_label``).
-
-        Each fresh SSSP is packed once into rank-sorted CSR rows; the
-        selection kernel reads certificate distances for stale candidates
-        from those rows by binary search (absent rank = unreachable = no
-        certificate, the reference's ``dict.get() is None``) and for fresh
-        candidates from the flat opposite-side label arrays.  Candidate
-        order, prune decisions, and stored floats are identical to the
-        python path.
-        """
-        n = self._num_nodes
-        rank_arr = np.empty(n, dtype=np.int64)
-        for i, r in rank_of.items():
-            rank_arr[i] = r
-        scratch = np.full(n, INFINITY)
-
-        def pack(sssps, members):
-            rmap: dict[int, int] = {}
-            indptr = np.zeros(len(members) + 1, dtype=np.int64)
-            parts = []
-            for row, idx in enumerate(members):
-                rmap[idx] = row
-                settled = sssps[idx]
-                nodes = np.fromiter(settled.keys(), np.int64, count=len(settled))
-                dvals = np.fromiter(settled.values(), np.float64,
-                                    count=len(settled))
-                ranks = rank_arr[nodes]
-                order = np.argsort(ranks)
-                parts.append((ranks[order], dvals[order], nodes[order]))
-                indptr[row + 1] = indptr[row] + len(ranks)
-            if parts:
-                flat_r = np.concatenate([p[0] for p in parts])
-                flat_d = np.concatenate([p[1] for p in parts])
-            else:
-                flat_r = np.empty(0, dtype=np.int64)
-                flat_d = np.empty(0, dtype=np.float64)
-            return rmap, indptr, flat_r, flat_d, parts
-
-        fwd_rmap, fwd_indptr, fwd_ranks, fwd_dists, fwd_parts = \
-            pack(fwd, affected_out_idx)
-        rev_rmap, rev_indptr, rev_ranks, rev_dists, rev_parts = \
-            pack(rev, affected_in_idx)
-        repaired = 0
-        for row, idx in enumerate(affected_out_idx):
-            cand_ranks, cand_dists, cand_nodes = fwd_parts[row]
-            cand_rows = np.fromiter(
-                (rev_rmap.get(int(i), -1) for i in cand_nodes),
-                np.int64, count=len(cand_nodes))
-            self._patches_out[idx] = _kernels.select_pruned_label(
-                cand_ranks, cand_dists, cand_rows, rev_indptr, rev_ranks,
-                rev_dists, self._in_indptr, self._in_rank_arr,
-                self._in_dist_arr, cand_nodes, scratch)
-            repaired += 1
-        for row, idx in enumerate(affected_in_idx):
-            cand_ranks, cand_dists, cand_nodes = rev_parts[row]
-            cand_rows = np.fromiter(
-                (fwd_rmap.get(int(i), -1) for i in cand_nodes),
-                np.int64, count=len(cand_nodes))
-            self._patches_in[idx] = _kernels.select_pruned_label(
-                cand_ranks, cand_dists, cand_rows, fwd_indptr, fwd_ranks,
-                fwd_dists, self._out_indptr, self._out_rank_arr,
-                self._out_dist_arr, cand_nodes, scratch)
-            repaired += 1
-        return repaired
 
     @staticmethod
     def _pruned_label(sssp: dict[int, float], rank_of: dict[int, int],
@@ -887,14 +806,6 @@ class HubLabelIndex:
         t = self._index_of.get(target)
         if s is None or t is None:
             return INFINITY
-        if (_kernels.kernel_backend() == "numba"
-                and self._patches_out.get(s) is None
-                and self._patches_in.get(t) is None):
-            lo, hi = self._out_indptr[s], self._out_indptr[s + 1]
-            jlo, jhi = self._in_indptr[t], self._in_indptr[t + 1]
-            return float(_kernels.merge_join(
-                self._out_rank_arr[lo:hi], self._out_dist_arr[lo:hi],
-                self._in_rank_arr[jlo:jhi], self._in_dist_arr[jlo:jhi]))
         a_r, a_d = self._out_label(s)
         b_r, b_d = self._in_label(t)
         i = j = 0
@@ -954,13 +865,6 @@ class HubLabelIndex:
                                                                  dtype=np.int64)
         src = self._to_indices(sources)
         tgt = self._to_indices(targets)
-        if _kernels.kernel_backend() == "numba":
-            res = _kernels.query_pairs(
-                self._out_indptr, self._out_rank_arr, self._out_dist_arr,
-                self._in_indptr, self._in_rank_arr, self._in_dist_arr,
-                src, tgt)
-            res[same] = 0.0
-            return res
         if k > 1 and np.any(src[1:] < src[:-1]):
             order = np.argsort(src, kind="stable")
             src_s, tgt_s = src[order], tgt[order]
@@ -1006,21 +910,15 @@ class HubLabelIndex:
         num_s, num_t = len(src), len(tgt)
         if num_s == 0 or num_t == 0:
             return np.full((num_s, num_t), INFINITY)
-        if _kernels.kernel_backend() == "numba":
-            out = _kernels.query_block(
-                self._out_indptr, self._out_rank_arr, self._out_dist_arr,
-                self._in_indptr, self._in_rank_arr, self._in_dist_arr,
-                src, tgt)
-        else:
-            out = np.full((num_s, num_t), INFINITY)
-            n = self._num_nodes
-            # Chunk the target dimension so the dense (rank, target) scatter
-            # matrix never exceeds ~_DENSE_BLOCK_ENTRIES floats on large
-            # cities.
-            t_chunk = max(1, self._DENSE_BLOCK_ENTRIES // max(1, n))
-            for t_lo in range(0, num_t, t_chunk):
-                self._query_block_chunk(src, tgt[t_lo:t_lo + t_chunk],
-                                        out[:, t_lo:t_lo + t_chunk])
+        out = np.full((num_s, num_t), INFINITY)
+        n = self._num_nodes
+        # Chunk the target dimension so the dense (rank, target) scatter
+        # matrix never exceeds ~_DENSE_BLOCK_ENTRIES floats on large
+        # cities.
+        t_chunk = max(1, self._DENSE_BLOCK_ENTRIES // max(1, n))
+        for t_lo in range(0, num_t, t_chunk):
+            self._query_block_chunk(src, tgt[t_lo:t_lo + t_chunk],
+                                    out[:, t_lo:t_lo + t_chunk])
         # Self-pairs by original id (unknown nodes share a sentinel index).
         orig_src = np.asarray(sources, dtype=np.int64)
         orig_tgt = np.asarray(targets, dtype=np.int64)

@@ -54,9 +54,7 @@ def _edge_weight_fn(network: RoadNetwork, t: float) -> WeightFunction:
 # --------------------------------------------------------------------------- #
 # array kernels (CSR, static weights, uniform time-slot scaling)
 #
-# Since PR 10 the loop bodies live in repro.network.kernels, which serves
-# them from the extracted python references or their numba-compiled twins
-# depending on the session's kernel backend; these wrappers keep the
+# The loop bodies live in repro.network.kernels; these wrappers keep the
 # historical names and signatures every caller imports.
 # --------------------------------------------------------------------------- #
 def _csr_dijkstra_to_target(csr, src: int, dst: int) -> float:
@@ -251,17 +249,10 @@ class BestFirstExplorer:
             self._csr = csr
             self._multiplier = network.profile.multiplier(t)
             src = csr.index_of[source]
-            if _kernels.kernel_backend() == "numba":
-                # Compiled settle steps over a persistent array workspace;
-                # expansion order and costs are bit-identical to the list
-                # path (see repro.network.kernels).
-                self._kernel_ws = _kernels.explorer_workspace(csr, src)
-            else:
-                self._kernel_ws = None
-                self._dist_arr = [INFINITY] * csr.num_nodes
-                self._dist_arr[src] = 0.0
-                self._heap: list[tuple[float, int]] = [(0.0, src)]
-                self._settled = [False] * csr.num_nodes
+            self._dist_arr = [INFINITY] * csr.num_nodes
+            self._dist_arr[src] = 0.0
+            self._heap: list[tuple[float, int]] = [(0.0, src)]
+            self._settled = [False] * csr.num_nodes
         else:
             self._csr = None
             self._weight = weight
@@ -280,12 +271,6 @@ class BestFirstExplorer:
 
     def _next_csr(self) -> tuple[int, float]:
         csr = self._csr
-        if self._kernel_ws is not None:
-            node, d = _kernels.explorer_next(self._kernel_ws)
-            if node < 0:
-                raise StopIteration
-            self._visited_count += 1
-            return csr.node_ids[node], d * self._multiplier
         indptr = csr.indptr_list
         indices = csr.indices_list
         weights = csr.weights_list

@@ -63,7 +63,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.policy import Assignment, AssignmentPolicy
 from repro.fleet.controller import FleetController
-from repro.network import kernels as _kernels
 from repro.network.geometry import haversine_distance
 from repro.obs import tracer_for_run
 from repro.obs.telemetry import Telemetry
@@ -481,7 +480,6 @@ class Simulator:
         meta = {
             "windows": len(self._windows),
             "event_resolution": self.config.event_resolution,
-            "kernel_backend": _kernels.kernel_backend(),
         }
         if self.resilience is not None:
             # Ladder state lands twice, deliberately: full per-rung counters

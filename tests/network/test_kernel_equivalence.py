@@ -29,7 +29,8 @@ from repro.network.shortest_path import (
 
 
 def random_directed_network(seed: int, max_nodes: int = 25) -> RoadNetwork:
-    """A random directed graph — not necessarily connected or symmetric."""
+    """A random directed graph — not necessarily connected or symmetric —
+    with up to three edges severed by an infinite-weight override."""
     rng = random.Random(seed)
     n = rng.randint(2, max_nodes)
     net = RoadNetwork(TimeProfile.flat())
@@ -41,6 +42,9 @@ def random_directed_network(seed: int, max_nodes: int = 25) -> RoadNetwork:
         if u != v:
             net.add_edge(u, v, rng.uniform(0.5, 500.0),
                          multiplier=rng.choice([1.0, 1.0, rng.uniform(0.5, 3.0)]))
+    edges = [(u, v) for u, v, _ in net.edges()]
+    for u, v in rng.sample(edges, min(len(edges), rng.randint(0, 3))):
+        net.set_edge_override(u, v, math.inf)
     return net
 
 

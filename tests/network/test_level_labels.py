@@ -306,7 +306,7 @@ class TestWitnessStopRule:
                                                     settle_cap):
         rng = random.Random(seed)
         adj_out = _random_adjacency(rng, n, integer_weights)
-        ws = kernels.contraction_workspace(n, adj_out)
+        ws = kernels.ContractionWorkspace(n, adj_out)
         for _ in range(8):
             source, banned = rng.sample(range(n), 2)
             tgts = rng.sample(range(n), rng.randint(1, min(n, 6)))
@@ -342,15 +342,6 @@ class TestWitnessStopRule:
 # --------------------------------------------------------------------------- #
 # what a build records
 # --------------------------------------------------------------------------- #
-@pytest.fixture
-def python_kernels():
-    """Witness settles are counted by the python search only."""
-    prev = kernels.kernel_backend_setting()
-    kernels.set_kernel_backend("python")
-    yield
-    kernels.set_kernel_backend(prev)
-
-
 class TestBuildWork:
     @pytest.mark.parametrize("graph, expected", [
         ("Metro900", {"witness_searches": 8268, "witness_settles": 137584,
@@ -358,7 +349,7 @@ class TestBuildWork:
         ("CityB-half", {"witness_searches": 1483, "witness_settles": 23380,
                         "shortcuts": 516, "levels": 21}),
     ])
-    def test_pristine_builds(self, python_kernels, graph, expected):
+    def test_pristine_builds(self, graph, expected):
         profile = (metro_profile(rows=30, cols=30, name="Metro900")
                    if graph == "Metro900" else CITY_B.scaled(0.5))
         index = HubLabelIndex(profile.network_factory())

@@ -38,6 +38,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--policy", "oracle"])
 
+    def test_rejects_kernel_backend_option(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", "--kernel-backend", "python"])
+        assert exc.value.code == 2
+
     def test_traffic_flag(self):
         args = build_parser().parse_args(["simulate", "--traffic", "heavy"])
         assert args.traffic == "heavy"
