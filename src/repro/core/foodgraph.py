@@ -77,10 +77,14 @@ class FoodGraph:
     #: explore-then-evaluate rounds of the sparsified construction (0 for the
     #: full graph and the sequential reference)
     rounds: int = 0
-    #: best-first searches started by the sparsified construction: one per
+    #: best-first searches the sparsified construction read: one per
     #: distinct (node, next destination) among the vehicles, so at most one
-    #: per vehicle (0 for the full graph)
+    #: per vehicle (0 for the full graph); each one's settle record stays in
+    #: the build's :class:`SettleMemo` for the next build
     searches: int = 0
+    #: those of :attr:`searches` that read a settle record an earlier build
+    #: left in its :class:`SettleMemo`, searching only past its end
+    searches_reused: int = 0
 
     def add_edge(self, batch_idx: int, vehicle_idx: int, weight: float,
                  plan: RoutePlan | Callable[[], RoutePlan]) -> None:
@@ -194,7 +198,8 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                                use_angular: bool = False,
                                gamma: float = 0.5,
                                max_expansions: int | None = None,
-                               vectorized: bool = True) -> FoodGraph:
+                               vectorized: bool = True,
+                               memo: SettleMemo | None = None) -> FoodGraph:
     """Sparsified FoodGraph construction via best-first search (Alg. 2).
 
     For every vehicle a best-first search expands road-network nodes in
@@ -227,9 +232,18 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
 
     **One search per (node, next destination).**  Vehicles that agree on
     all an explorer reads of them share one search (:class:`_SharedSearch`)
-    and walk its record each at their own pace; the searches, like the
-    planning table, are gone when the call returns.
+    and walk its settle record each at their own pace.
     :attr:`FoodGraph.searches` counts them.
+
+    **Settle records outlive the call** (``memo``).  A search's settle order
+    depends on its key and on the weights, not on the batches, so the
+    records go into ``memo`` and the next call whose vehicles have the same
+    keys reads them instead of searching again: it walks the recorded order
+    against its own batch start nodes and runs the explorer only past it.
+    :class:`SettleMemo` says when a record is still valid;
+    :attr:`FoodGraph.searches_reused` counts the searches that read one.
+    Without a ``memo`` the call starts from an empty one.  Either way the
+    graph and every counter are what a fresh search would give.
 
     ``vectorized=False`` keeps that sequential loop — dict-based reference
     exploration, one :meth:`CostModel.marginal_cost` per pair — as the
@@ -271,8 +285,9 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                   if use_angular else None)
         return BestFirstExplorer(network, vehicle.node, weight=weight, t=now)
 
-    # Vehicles still searching, each on the search of its group; a vehicle's
-    # successful degree is the length of its ``found`` list.
+    # Vehicles still searching, each on the search of its group.
+    memo = memo if memo is not None else SettleMemo()
+    recorded = memo.valid_records(network, now, gamma, use_angular, expansion_cap)
     searches: dict[object, _SharedSearch] = {}
     searching: dict[int, _SharedSearch] = {}
     for v_idx, vehicle in enumerate(graph.vehicles):
@@ -280,8 +295,14 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                else vehicle.node)
         search = searches.get(key)
         if search is None:
-            search = searches[key] = _SharedSearch(explorer_for(vehicle))
+            record = recorded.get(key)
+            if record is None:
+                record = _SettleRecord(explorer_for(vehicle))
+            else:
+                graph.searches_reused += 1
+            search = searches[key] = _SharedSearch(record)
         searching[v_idx] = search
+    memo.records = {key: search.record for key, search in searches.items()}
     graph.searches = len(searches)
 
     tracer = current_tracer()
@@ -347,48 +368,115 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     return graph
 
 
+class SettleMemo:
+    """Best-first settle records kept from one sparsified build to the next.
+
+    A record (:class:`_SettleRecord`) is keyed like the search it records.
+    Its settle order is valid as long as the weights the explorer read are
+    the same, so the memo remembers what they were computed from: the
+    network (by identity), its :attr:`~repro.network.graph.RoadNetwork.mutation_epoch`,
+    the congestion multiplier of the time slot, ``gamma``, whether the
+    angular blend is on, and the expansion cap a record stops at.  A build
+    whose token differs drops every record before it starts a search, and
+    each build keeps only the records its own vehicles used.
+    :class:`~repro.core.foodmatch.FoodMatchPolicy` keeps one memo for its
+    lifetime; nothing checkpoints it or ships it to workers.
+    """
+
+    __slots__ = ("network", "token", "records")
+
+    def __init__(self) -> None:
+        self.network = None
+        self.token: tuple | None = None
+        self.records: dict[object, _SettleRecord] = {}
+
+    def valid_records(self, network, now: float, gamma: float, use_angular: bool,
+                      expansion_cap: int) -> dict[object, _SettleRecord]:
+        """The records a build with these inputs may read (none once an
+        input changed)."""
+        token = (network.mutation_epoch, network.profile.multiplier(now), gamma,
+                 use_angular, expansion_cap)
+        if self.network is not network or self.token != token:
+            self.network = network
+            self.token = token
+            self.records = {}
+        return self.records
+
+
+class _SettleRecord:
+    """The nodes one best-first search has settled, in settle order, and the
+    explorer that settles the next ones (``None`` once the network is
+    exhausted or the expansion cap is reached, freeing its state)."""
+
+    __slots__ = ("order", "explorer")
+
+    def __init__(self, explorer) -> None:
+        self.order: list[int] = []
+        self.explorer = explorer
+
+
 class _SharedSearch:
-    """One best-first search, read by every vehicle of its group.
+    """One build's reading of a settle record, shared by every vehicle of
+    its group.
 
     All an explorer reads of a vehicle is its node and, under the angular
     blend, its next destination: vehicles that agree on those settle the
     same nodes in the same order.  What Alg. 2 needs of that order is only
-    where the batch start nodes sit in it, so that is what is recorded —
-    ``starts[i] = (nodes settled up to and including the i-th start node,
-    the batches starting there)`` — once, by whichever member gets there
-    first; every member then reads the record with a cursor of its own.
-    The explorer only ever runs as far as its farthest member asks, which
-    is Alg. 2's early stop.
+    where this build's batch start nodes sit in it, so that is what is
+    read off — ``starts[i] = (nodes settled up to and including the i-th
+    start node, the batches starting there)`` — once, by whichever member
+    gets there first; every member then reads ``starts`` with a cursor of
+    its own.  The recorded order is walked by lookups alone, and the
+    explorer only ever runs past it as far as the farthest member asks,
+    which is Alg. 2's early stop.
     """
 
-    __slots__ = ("explorer", "starts", "settled")
+    __slots__ = ("record", "starts", "settled")
 
-    def __init__(self, explorer) -> None:
-        self.explorer = explorer
+    def __init__(self, record: _SettleRecord) -> None:
+        self.record = record
         self.starts: list[tuple[int, list[int]]] = []
         self.settled = 0
 
     def settle_to_next_start(self, start_index: dict[int, list[int]],
                              expansion_cap: int) -> bool:
-        """Run the search on until one more start node is recorded.
+        """Read (and if need be search) on until one more start node is found.
 
         ``False`` once there is none left to find: the network is exhausted
         or ``expansion_cap`` nodes are settled (:attr:`settled` then is what
         a vehicle reading to the end has expanded).
         """
-        if self.explorer is None:
-            return False
-        for node, _ in self.explorer:
-            self.settled += 1
-            if self.settled >= expansion_cap:
-                self.explorer = None
+        record = self.record
+        order = record.order
+        settled = self.settled
+        end = min(len(order), expansion_cap)
+        while settled < end:
+            node = order[settled]
+            settled += 1
             b_idxs = start_index.get(node)
             if b_idxs is not None:
-                self.starts.append((self.settled, b_idxs))
+                self.settled = settled
+                self.starts.append((settled, b_idxs))
                 return True
-            if self.explorer is None:
-                return False
-        self.explorer = None
+        explorer = record.explorer
+        if explorer is not None and settled < expansion_cap:
+            append = order.append
+            for node, _ in explorer:
+                append(node)
+                settled += 1
+                b_idxs = start_index.get(node)
+                if b_idxs is not None:
+                    if settled >= expansion_cap:
+                        record.explorer = None
+                    self.settled = settled
+                    self.starts.append((settled, b_idxs))
+                    return True
+                if settled >= expansion_cap:
+                    record.explorer = None
+                    break
+            else:
+                record.explorer = None
+        self.settled = settled
         return False
 
 
@@ -464,6 +552,7 @@ __all__ = [
     "build_full_foodgraph",
     "build_sparsified_foodgraph",
     "solve_matching",
+    "SettleMemo",
     "DEFAULT_OMEGA",
     "DEFAULT_MAX_FIRST_MILE",
 ]

@@ -26,6 +26,7 @@ from repro.core.foodgraph import (
     DEFAULT_MAX_FIRST_MILE,
     DEFAULT_OMEGA,
     FoodGraph,
+    SettleMemo,
     build_full_foodgraph,
     build_sparsified_foodgraph,
     solve_matching,
@@ -110,6 +111,9 @@ class FoodMatchPolicy(AssignmentPolicy):
         self.total_cost_evaluations = 0
         self.total_nodes_expanded = 0
         self.total_batches_formed = 0
+        # Best-first settle records, read again by the next window whose
+        # searches have the same inputs (see build_sparsified_foodgraph).
+        self._settle_memo = SettleMemo()
 
     def _derive_name(self) -> str:
         cfg = self.config
@@ -159,7 +163,7 @@ class FoodMatchPolicy(AssignmentPolicy):
                     batches, candidates, self._cost_model, now, k,
                     omega=cfg.omega, max_first_mile=cfg.max_first_mile,
                     use_angular=cfg.use_angular, gamma=cfg.gamma,
-                    vectorized=cfg.vectorized)
+                    vectorized=cfg.vectorized, memo=self._settle_memo)
             else:
                 graph = build_full_foodgraph(batches, candidates,
                                              self._cost_model, now,
@@ -186,6 +190,7 @@ class FoodMatchPolicy(AssignmentPolicy):
         effort = {name: getattr(stats, name) - start for name, start in before.items()}
         effort["foodgraph_rounds"] = graph.rounds
         effort["foodgraph_searches"] = graph.searches
+        effort["foodgraph_searches_reused"] = graph.searches_reused
         for name, value in effort.items():
             registry.histogram(f"search.{name}", low=1.0, high=1e9).record(value)
 

@@ -218,8 +218,8 @@ def snapshot_simulator(sim: Simulator, policy_name: str,
     Must be taken *between* windows (the dispatch service only checkpoints
     there; batch callers checkpoint between :meth:`Simulator.step_window`
     calls).  ``policy_name``/``policy_options`` record how to rebuild the
-    policy — policies themselves are stateless across windows, so the name
-    is enough.
+    policy — nothing a policy carries across windows changes an outcome
+    (FoodMatch's settle records only save work), so the name is enough.
     """
     if sim.finalized:
         raise CheckpointError("cannot checkpoint a finalized Simulator")

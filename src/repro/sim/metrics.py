@@ -137,6 +137,15 @@ class SimulationResult:
     #: ``telemetry`` and ``cache_stats``, never part of the fingerprint.
     resilience: dict | None = None
 
+    def __repr__(self) -> str:
+        # A summary, not the dataclass dump of every outcome, window and
+        # vehicle: ``asyncio.run`` formats the finished task's result twice
+        # when it restores the SIGINT handler, so a full repr cost every
+        # served run time proportional to the whole day.
+        return (f"SimulationResult(policy_name={self.policy_name!r}, "
+                f"city_name={self.city_name!r}, orders={len(self.outcomes)}, "
+                f"windows={len(self.windows)}, vehicles={len(self.vehicles)})")
+
     # ------------------------------------------------------------------ #
     # order-level metrics
     # ------------------------------------------------------------------ #

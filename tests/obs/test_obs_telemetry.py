@@ -168,7 +168,8 @@ class TestTraceMode:
             stats["policy.batching"]["total_seconds"]
         windows = stats["policy.foodgraph"]["count"]
         for name in ("kernel_passes", "kernel_rows", "kernel_steps",
-                     "base_plans_reused", "foodgraph_rounds", "foodgraph_searches"):
+                     "base_plans_reused", "foodgraph_rounds", "foodgraph_searches",
+                     "foodgraph_searches_reused"):
             assert telemetry.histograms[f"search.{name}"]["count"] == windows
         for name in ("kernel_passes", "kernel_rows", "kernel_steps"):
             assert telemetry.histograms[f"search.{name}"]["sum"] == \
@@ -178,6 +179,8 @@ class TestTraceMode:
             8 * telemetry.counters["cost.kernel_rows"]
         assert telemetry.histograms["search.foodgraph_rounds"]["min"] >= 1
         assert telemetry.histograms["search.foodgraph_searches"]["min"] >= 1
+        # Later windows read settle records earlier ones left.
+        assert telemetry.histograms["search.foodgraph_searches_reused"]["max"] >= 1
 
     def test_km_windows_have_the_policy_phase_spans(self):
         # engine.decide is not a leaf under KM either: its windows open the

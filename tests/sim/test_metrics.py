@@ -163,3 +163,18 @@ class TestBreakdownsAndSummary:
                     "orders_per_km", "waiting_hours_per_day", "overflow_pct",
                     "rejection_rate", "mean_decision_seconds"):
             assert key in summary
+
+    def test_repr_is_a_summary_of_constant_size(self):
+        # asyncio formats a finished task's result when ``asyncio.run``
+        # returns, so a served run pays for this repr; it must not grow
+        # with the day.
+        small = simple_result({1: outcome(1)}, vehicles=[Vehicle(vehicle_id=1, node=0)])
+        outcomes = {i: outcome(i, delivered=900.0) for i in range(1, 501)}
+        windows = [WindowRecord(start=180.0 * i, end=180.0 * (i + 1), num_orders=1,
+                                num_vehicles=1, num_assigned_orders=1,
+                                decision_seconds=0.1) for i in range(100)]
+        vehicles = [Vehicle(vehicle_id=i, node=0) for i in range(200)]
+        large = simple_result(outcomes, windows, vehicles)
+        assert repr(large) == ("SimulationResult(policy_name='test', city_name='CityX', "
+                               "orders=500, windows=100, vehicles=200)")
+        assert len(repr(large)) - len(repr(small)) < 10
