@@ -4,11 +4,14 @@ Three kernels, all asserting exactness *before* any timing:
 
 ``window_hot_path``
     One simulated lunch hour under FoodMatch, replayed twice: with the
-    vectorised window hot path (CSR angular exploration, block first-mile
-    checks, array route-plan search, cumsum vehicle metering, batched SDT
-    prefetch — the default) and with the scalar reference paths that
-    ``vectorized=False`` selects (the PR 3 engine, kept for the equivalence
-    property tests).  The two runs must be **bit-identical** (result
+    vectorised window hot path (optimistic FoodGraph rounds over CSR
+    angular exploration, cumsum vehicle metering, batched SDT prefetch —
+    the default) and with the scalar reference paths that
+    ``FoodMatchConfig(vectorized=False)`` and
+    ``SimulationConfig(vectorized=False)`` select (the sequential FoodGraph
+    loop, per-vehicle path walking and per-order SDT queries, kept for the
+    equivalence property tests); both plan routes through the one search
+    path of the cost model.  The two runs must be **bit-identical** (result
     fingerprints over every order outcome, window record and vehicle
     total); only then are both modes timed and the windows-per-second
     speedup reported.
@@ -103,7 +106,7 @@ def _run_engine(vectorized: bool, seed: int, start_hour: int, end_hour: int,
                                  start_hour=start_hour, end_hour=end_hour)
     oracle = DistanceOracle(scenario.network)
     oracle.refresh()  # the label build is set-up, not timed
-    cost_model = CostModel(oracle, vectorized=vectorized)
+    cost_model = CostModel(oracle)
     policy = FoodMatchPolicy(cost_model, FoodMatchConfig(vectorized=vectorized))
     config = SimulationConfig(delta=BENCH_PROFILE.accumulation_window,
                               start=start_hour * 3600.0, end=end_hour * 3600.0,

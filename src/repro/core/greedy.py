@@ -48,11 +48,17 @@ class GreedyPolicy(AssignmentPolicy):
 
     def assign(self, orders: Sequence[Order], vehicles: Sequence[Vehicle],
                now: float) -> list[Assignment]:
-        pool: dict[int, Order] = {order.order_id: order for order in orders}
         candidates = self.eligible_vehicles(vehicles, now)
-        if not pool or not candidates:
+        if not orders or not candidates:
             return []
+        # One planning table (and Cost(v, O_v) memo) for the whole window,
+        # dropped when assign returns or raises.
+        with self._cost_model.planning_scope(orders, candidates):
+            return self._assign(orders, candidates, now)
 
+    def _assign(self, orders: Sequence[Order], candidates: list[Vehicle],
+                now: float) -> list[Assignment]:
+        pool: dict[int, Order] = {order.order_id: order for order in orders}
         # Tentative orders committed to each vehicle within this window.  The
         # vehicles themselves are not mutated; marginal costs are evaluated
         # against (existing assignment ∪ tentative set).
@@ -61,11 +67,11 @@ class GreedyPolicy(AssignmentPolicy):
         vehicle_by_id: dict[int, Vehicle] = {v.vehicle_id: v for v in candidates}
 
         # First-mile feasibility is a pure vehicle x restaurant cross product,
-        # so it resolves in one vectorised block query instead of a point
-        # query per pair; the matrix serves every later refresh round too
-        # (first miles do not depend on the tentative sets).
+        # so it is one block of the window's planning table instead of a
+        # point query per pair; the matrix serves every later refresh round
+        # too (first miles do not depend on the tentative sets).
         pool_orders = list(pool.values())
-        first_miles = self._cost_model.oracle.distance_matrix(
+        first_miles = self._cost_model.distance_matrix(
             [vehicle.node for vehicle in candidates],
             [order.restaurant_node for order in pool_orders], now)
         first_mile_of: dict[tuple[int, int], float] = {}
@@ -119,20 +125,15 @@ class GreedyPolicy(AssignmentPolicy):
 
     # ------------------------------------------------------------------ #
     def _pair_cost(self, order: Order, vehicle: Vehicle, already_added: list[Order],
-                   now: float, first_mile: float | None = None,
-                   ) -> tuple[float, RoutePlan | None]:
+                   now: float, first_mile: float) -> tuple[float, RoutePlan | None]:
         """Marginal cost of adding ``order`` on top of the tentative set.
 
-        ``first_mile`` may carry the precomputed vehicle-to-restaurant travel
-        time from the batched feasibility matrix; when absent it is queried
-        point-to-point.
+        ``first_mile`` is the vehicle-to-restaurant travel time, from the
+        window's first-mile matrix.
         """
         prospective = already_added + [order]
         if not vehicle.can_accept(prospective):
             return INFINITY, None
-        if first_mile is None:
-            first_mile = self._cost_model.oracle.distance(
-                vehicle.node, order.restaurant_node, now)
         if first_mile > self._max_first_mile:
             return INFINITY, None
         plan_with = self._cost_model.plan_for_vehicle(vehicle, prospective, now)

@@ -135,23 +135,28 @@ class ReyesPolicy(AssignmentPolicy):
                 row.append(min(estimate, self._omega))
             matrix.append(row)
 
-        pairs = minimum_weight_matching(matrix)
+        pairs = [(group_idx, vehicle_idx)
+                 for group_idx, vehicle_idx in minimum_weight_matching(matrix)
+                 if matrix[group_idx][vehicle_idx] < self._omega]
+        # Execution happens on the real road network: one bulk search plans
+        # the matched pairs, on a table over just their groups and vehicles.
+        matched = range(len(pairs))
+        costs, plan_of = self._cost_model.marginal_costs(
+            [groups[group_idx] for group_idx, _ in pairs],
+            [candidates[vehicle_idx] for _, vehicle_idx in pairs], matched, matched, now)
         assignments: list[Assignment] = []
-        for group_idx, vehicle_idx in pairs:
-            if matrix[group_idx][vehicle_idx] >= self._omega:
+        for i, (group_idx, vehicle_idx) in enumerate(pairs):
+            cost = costs[i].item()
+            if cost == INFINITY:
                 continue
             group = groups[group_idx]
             vehicle = candidates[vehicle_idx]
-            # Execution happens on the real road network.
-            cost, plan = self._cost_model.marginal_cost(group, vehicle, now)
-            if plan is None:
-                continue
             first_mile = self._cost_model.oracle.distance(
                 vehicle.node, group[0].restaurant_node, now)
             if first_mile > self._max_first_mile:
                 continue
             assignments.append(Assignment(vehicle=vehicle, orders=group,
-                                          plan=plan, weight=cost))
+                                          plan=plan_of(i), weight=cost))
         return assignments
 
 

@@ -103,19 +103,19 @@ class _Search:
     """Outcome of one bulk search: costs up front, route plans on demand.
 
     ``cost``, ``finish`` and ``winner`` (each request's winning permutation
-    row, for the requests a kernel pass decided) are indexed by request:
-    lists when the requests came as objects, arrays when they came as slot
-    rows, in which case ``request_of`` builds the object on demand.
+    row, for the requests a kernel pass decided) are arrays indexed by
+    request; ``request_of`` builds a request's :class:`PlanRequest` of its
+    slot row, for a scalar planner or when its route plan is read.
     """
 
     __slots__ = ("cost", "finish", "winner", "table", "_plans", "_request_of")
 
-    def __init__(self, request_of: Callable[[int], PlanRequest], cost, finish,
-                 winner, table: PlanningTable | None) -> None:
+    def __init__(self, request_of: Callable[[int], PlanRequest], count: int,
+                 table: PlanningTable) -> None:
         self._request_of = request_of
-        self.cost = cost
-        self.finish = finish
-        self.winner = winner
+        self.cost = np.zeros(count)
+        self.finish = np.zeros(count)
+        self.winner = np.zeros(count, dtype=np.intp)
         #: what :meth:`plan` replays a winning row on
         self.table = table
         self._plans: dict[int, RoutePlan] = {}
@@ -154,20 +154,19 @@ class CostModel:
     served by a table built after it, or by the oracle itself.
 
     Route plans are searched in bulk (:meth:`make_batches`,
-    :meth:`merge_costs`, :meth:`marginal_costs`): all requests of one call
-    that share a plan shape go through one pass of the array kernel.  Inside
-    a planning scope a request of those calls is a row of the table's order
-    slots from start to finish (:meth:`_search_rows`); a
-    :class:`~repro.orders.route_plan.PlanRequest` object is built of it only
-    where a scalar planner takes it and when somebody reads its route plan.
-    Outside a scope, and in the single-request methods (the bulk ones with
-    lists of one), requests are objects (:meth:`_search`); a lone request
-    too small for the kernel is scanned in Python instead, chosen by its
-    permutation count.
+    :meth:`merge_costs`, :meth:`marginal_costs` and their single-request
+    forms): each call enters a planning scope itself — the caller's, when
+    that covers it — and every request of the call is a row of the table's
+    order slots from start to finish (:meth:`_search_rows`); all rows of
+    one plan shape go through one pass of the array kernel.  A
+    :class:`~repro.orders.route_plan.PlanRequest` object is built of a row
+    only where a scalar planner takes it and when somebody reads its route
+    plan.  :meth:`plan_for_vehicle` and :meth:`vehicle_cost` plan one lone
+    request (:meth:`_search`): a request too small for the kernel is
+    scanned in Python instead, chosen by its permutation count.
     """
 
-    def __init__(self, oracle: DistanceOracle, planner: str = "auto",
-                 vectorized: bool = True) -> None:
+    def __init__(self, oracle: DistanceOracle, planner: str = "auto") -> None:
         """Create a cost model over a distance oracle.
 
         ``planner`` selects how quickest route plans are computed:
@@ -176,18 +175,11 @@ class CostModel:
         insertion heuristic (supports large batches, near-optimal for small
         ones), and ``"auto"`` (default) is exhaustive up to 8 stops and
         insertion beyond.
-
-        ``vectorized=False`` answers every exhaustive search with the scalar
-        reference scan (:func:`~repro.orders.route_plan.best_route_plan`)
-        over point queries and makes :meth:`planning_scope` a no-op; it
-        exists for the equivalence tests and the end-to-end benchmark's
-        reference mode, which require bit-identical plans from both.
         """
         if planner not in {"auto", "exhaustive", "insertion"}:
             raise ValueError(f"unknown planner {planner!r}")
         self._oracle = oracle
         self._planner = planner
-        self._vectorized = vectorized
         self._sdt_cache: dict[int, float] = {}
         self._table: PlanningTable | None = None
         #: ``Cost(v, O_v)`` by ``(vehicle_id, now)``; lives and dies with the scope
@@ -219,16 +211,15 @@ class CostModel:
         order and of every order a vehicle carries.  Vehicles must not be
         mutated inside the block (policies never do): their ``Cost(v, O_v)``
         is memoised per scope.  Entering a scope inside one that already
-        covers the universe reuses it, so the builders can scope themselves
-        and still share the table ``assign`` opened.
+        covers the universe reuses it, so the bulk searches and the builders
+        scope themselves and still share the table ``assign`` opened.
         """
         orders = list(itertools.chain(
             orders, (order for vehicle in vehicles
                      for order in vehicle.assigned.values())))
         start_nodes = [vehicle.node for vehicle in vehicles]
         outer = self._table
-        if not self._vectorized or (outer is not None
-                                    and outer.covers(orders, start_nodes)):
+        if outer is not None and outer.covers(orders, start_nodes):
             yield
             return
         saved = (outer, self._base_costs)
@@ -259,16 +250,16 @@ class CostModel:
     # ------------------------------------------------------------------ #
     def _plan_alone(self, request: PlanRequest, distance) -> RoutePlan | None:
         """The plan of a request no kernel pass can take, ``None`` if one can:
-        requests for the insertion heuristic, for the scalar reference
-        (``vectorized=False``) and for exhaustive plans beyond the auto limit
-        (whose permutation matrix would not fit) are planned one by one."""
+        requests for the insertion heuristic and for exhaustive plans beyond
+        the auto limit (whose permutation matrix would not fit) are planned
+        one by one."""
         new_orders, start_node, start_time, onboard = request
         stop_count = 2 * len(new_orders) + len(onboard)
         if self._planner == "insertion" or (
                 self._planner == "auto" and stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT):
             return insertion_route_plan(new_orders, start_node, start_time, distance,
                                         self.sdt, onboard_orders=onboard)
-        if not self._vectorized or stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT:
+        if stop_count > _AUTO_EXHAUSTIVE_STOP_LIMIT:
             return best_route_plan(new_orders, start_node, start_time, distance,
                                    self.sdt, onboard_orders=onboard)
         return None
@@ -291,67 +282,47 @@ class CostModel:
         stats.kernel_steps += prefix_steps(shape) * len(start)
         return result
 
-    def _search(self, requests: Sequence[PlanRequest]) -> _Search:
-        """Search the quickest route plan of every request, given as objects.
+    def _search(self, request: PlanRequest) -> RoutePlan:
+        """The quickest route plan of one lone request.
 
-        This is how the single-request methods search, and the bulk ones
-        where no planning table is open.  Requests only a scalar planner
-        takes (:meth:`_plan_alone`) are planned one by one.  The rest are
-        grouped by plan shape and each group takes one pass of the array
-        kernel — unless all of them together come to no more than
-        :data:`~repro.orders.route_plan.SCALAR_SCAN_ROWS` permutations, the
-        size of one lone small request (Greedy, Reyes, the engine's
-        reshuffle), which a Python scan finishes before the kernel has set
-        up.
+        A request only a scalar planner takes (:meth:`_plan_alone`) goes to
+        it.  One of at most :data:`~repro.orders.route_plan.SCALAR_SCAN_ROWS`
+        permutations (Greedy's pairs, the engine's replans) is scanned in
+        Python, which finishes before the kernel has set up; a larger one
+        takes one kernel pass, on the open planning table or on a table of
+        its own.  Distances come off the open table if there is one, else
+        from the oracle.
         """
-        self.plan_calls += len(requests)
+        self.plan_calls += 1
         table = self._table
-        search = _Search(requests.__getitem__, [0.0] * len(requests),
-                         [0.0] * len(requests), [0] * len(requests), table)
         distance = table.distance if table is not None else self._oracle.distance
-        shapes: dict[tuple[int, int], list[int]] = {}
-        rows = 0
-        for i, request in enumerate(requests):
-            plan = self._plan_alone(request, distance)
-            if plan is not None:
-                search.set_plan(i, plan)
-            else:
-                shapes.setdefault(request.shape, []).append(i)
-                rows += permutation_rows(request.shape)
-        if rows <= SCALAR_SCAN_ROWS:
-            for members in shapes.values():
-                for i in members:
-                    search.set_plan(i, scan_route_plan(requests[i], distance,
-                                                       self.sdt))
-            return search
-        if table is None:
-            # A bulk search outside any scope: a table of its own.
-            bulk = [requests[i] for members in shapes.values() for i in members]
-            table = search.table = PlanningTable(
-                self._oracle,
-                (order for r in bulk for order in r.new_orders + r.onboard_orders),
-                (r.start_node for r in bulk), self.sdt)
-        for members in shapes.values():
-            winner, cost, finish = self._kernel_pass(
-                table, *request_rows([requests[i] for i in members], table))
-            for i, w, c, f in zip(members, winner.tolist(), cost.tolist(),
-                                  finish.tolist(), strict=True):
-                search.winner[i] = w
-                search.cost[i] = c
-                search.finish[i] = f
-        return search
+        plan = self._plan_alone(request, distance)
+        if plan is None and permutation_rows(request.shape) <= SCALAR_SCAN_ROWS:
+            plan = scan_route_plan(request, distance, self.sdt)
+        if plan is None:
+            if table is None:
+                table = PlanningTable(self._oracle,
+                                      request.new_orders + request.onboard_orders,
+                                      (request.start_node,), self.sdt)
+            winner, _, _ = self._kernel_pass(table, *request_rows([request], table))
+            plan = table.route_plan(request, winner.item())
+        return plan
 
     def _search_rows(self, table: PlanningTable, new: np.ndarray, onboard: np.ndarray,
                      start: np.ndarray, now: float) -> _Search:
-        """:meth:`_search` for requests given as rows of the table's order slots.
+        """Search the quickest route plan of every request, given as rows of
+        the table's order slots.
 
         Request ``r`` plans the orders of ``new[r]`` (to pick up and drop
         off) and of ``onboard[r]`` (to drop off) from the node of index
         ``start[r]`` at time ``now``; rows shorter than the matrix is wide
-        end in ``-1``.  Same decisions, same counts: the rows of one shape
-        take one kernel pass, and a :class:`PlanRequest` is only built of a
-        row that a scalar planner or the Python scan takes — and of the rows
-        whose route plan is read.
+        end in ``-1``.  Requests only a scalar planner takes
+        (:meth:`_plan_alone`) are planned one by one; the rest take one
+        kernel pass per plan shape — unless all of them together come to no
+        more than :data:`~repro.orders.route_plan.SCALAR_SCAN_ROWS`
+        permutations, which are scanned in Python.  A :class:`PlanRequest`
+        is only built of a row that a scalar planner or the Python scan
+        takes — and of the rows whose route plan is read.
         """
         count = len(start)
         self.plan_calls += count
@@ -362,8 +333,7 @@ class CostModel:
                                  onboard[i, :num_onboard[i]].tolist(),
                                  start[i], now)
 
-        search = _Search(request_of, np.zeros(count), np.zeros(count),
-                         np.zeros(count, dtype=np.intp), table)
+        search = _Search(request_of, count, table)
         if self._planner == "insertion":
             alone = np.arange(count)
         else:
@@ -467,35 +437,12 @@ class CostModel:
     def plan_for_vehicle(self, vehicle: Vehicle, new_orders: Sequence[Order],
                          now: float) -> RoutePlan:
         """Quickest route plan for a vehicle after adding ``new_orders``."""
-        return self._search([self._vehicle_request(vehicle, new_orders, now)]).plan(0)
+        return self._search(self._vehicle_request(vehicle, new_orders, now))
 
     def vehicle_cost(self, vehicle: Vehicle, extra_orders: Sequence[Order],
                      now: float) -> float:
         """``Cost(v, O_v^t ∪ extra_orders)`` (Eq. 4)."""
-        return self._search(
-            [self._vehicle_request(vehicle, extra_orders, now)]).cost[0]
-
-    def _base_costs_of(self, vehicles: Iterable[Vehicle], now: float,
-                       ) -> dict[tuple[int, float], float]:
-        """``Cost(v, O_v)`` of each vehicle, by ``(vehicle_id, now)``.
-
-        One bulk search over the vehicles the memo does not have yet; inside
-        a planning scope the memo is the scope's, so a vehicle's "without"
-        plan is searched once per window however many batches it is offered.
-        """
-        memo = self._base_costs if self._base_costs is not None else {}
-        missing: dict[tuple[int, float], Vehicle] = {}
-        for vehicle in vehicles:
-            key = (vehicle.vehicle_id, now)
-            if key in memo or key in missing:
-                self.search_stats.base_plans_reused += 1
-            else:
-                missing[key] = vehicle
-        if missing:
-            search = self._search([self._vehicle_request(vehicle, (), now)
-                                   for vehicle in missing.values()])
-            memo.update(zip(missing, search.cost, strict=True))
-        return memo
+        return self._search(self._vehicle_request(vehicle, extra_orders, now)).cost
 
     def marginal_costs(self, order_sets: Sequence[Sequence[Order]],
                        vehicles: Sequence[Vehicle], set_idx: Sequence[int],
@@ -510,88 +457,59 @@ class CostModel:
         giving, on demand, the route plan that realises the finite cost of
         pair ``i`` (a FoodGraph wants every weight but only the plans of the
         pairs it ends up matching).  All "with" plans go through one bulk
-        search, then the "without" plans of the vehicles that still need one
-        through another.
+        search, then the "without" plans of the vehicles the scope's memo
+        lacks through another, so a vehicle's "without" plan is searched
+        once per window however many batches it is offered.
 
-        Inside a planning scope no pair becomes a Python object: every
-        vehicle and every order set is read once, into rows of the table's
-        order slots, Def. 4 is one array comparison, and an accepted pair's
-        request is the vehicle's pending row followed by the set's row.
+        No pair becomes a Python object: every vehicle and every order set
+        is read once, into rows of the table's order slots, Def. 4 is one
+        array comparison, and an accepted pair's request is the vehicle's
+        pending row followed by the set's row.
         """
         set_idx = np.asarray(set_idx, dtype=np.intp)
         vehicle_idx = np.asarray(vehicle_idx, dtype=np.intp)
-        table = self._table
-        if table is None:
-            return self._marginal_costs_of_requests(
-                order_sets, vehicles, set_idx.tolist(), vehicle_idx.tolist(), now)
-        slot, index = table.slot, table.index
-        sets = _padded([[slot[order.order_id] for order in orders]
-                        for orders in order_sets])
-        set_size = np.array([len(orders) for orders in order_sets])
-        set_items = np.array([sum(order.items for order in orders)
-                              for orders in order_sets])
-        pending = _padded([[slot[order.order_id] for order in vehicle.pending_orders()]
-                           for vehicle in vehicles])
-        onboard = _padded([[slot[order.order_id] for order in vehicle.onboard_orders()]
-                           for vehicle in vehicles])
-        node = np.array([index[vehicle.node] for vehicle in vehicles], dtype=np.intp)
-        room = np.array([(vehicle.max_orders - vehicle.order_count,
-                          vehicle.max_items - vehicle.item_load)
-                         for vehicle in vehicles]).reshape(len(vehicles), 2)
-        accepted = np.flatnonzero((set_size[set_idx] <= room[vehicle_idx, 0])
-                                  & (set_items[set_idx] <= room[vehicle_idx, 1]))
-        s, v = set_idx[accepted], vehicle_idx[accepted]
-        # The vehicle's pending row, then the set's: a stable sort of the
-        # padding to the end closes the gap a short pending row leaves.
-        new = np.concatenate((pending[v], sets[s]), axis=1)
-        new = np.take_along_axis(new, np.argsort(new < 0, axis=1, kind="stable"), axis=1)
-        search = self._search_rows(table, new, onboard[v], node[v], now)
-        reachable = np.flatnonzero(search.cost != INFINITY)
-        v = v[reachable]
-        # Cost(v, O_v) of the vehicles the scope's memo lacks, in one search.
-        memo = self._base_costs
-        keys = {j: (vehicles[j].vehicle_id, now) for j in dict.fromkeys(v.tolist())}
-        missing = np.array([j for j, key in keys.items() if key not in memo],
-                           dtype=np.intp)
-        self.search_stats.base_plans_reused += len(v) - len(missing)
-        if len(missing):
-            found = self._search_rows(table, pending[missing], onboard[missing],
-                                      node[missing], now)
-            memo.update(zip((keys[j] for j in missing.tolist()), found.cost.tolist(),
-                            strict=True))
-        base = np.zeros(len(vehicles))
-        base[list(keys)] = [memo[key] for key in keys.values()]
+        with self.planning_scope(itertools.chain.from_iterable(order_sets), vehicles):
+            table, memo = self._table, self._base_costs
+            slot, index = table.slot, table.index
+            sets = _padded([[slot[order.order_id] for order in orders]
+                            for orders in order_sets])
+            set_size = np.array([len(orders) for orders in order_sets])
+            set_items = np.array([sum(order.items for order in orders)
+                                  for orders in order_sets])
+            pending = _padded([[slot[order.order_id] for order in vehicle.pending_orders()]
+                               for vehicle in vehicles])
+            onboard = _padded([[slot[order.order_id] for order in vehicle.onboard_orders()]
+                               for vehicle in vehicles])
+            node = np.array([index[vehicle.node] for vehicle in vehicles], dtype=np.intp)
+            room = np.array([(vehicle.max_orders - vehicle.order_count,
+                              vehicle.max_items - vehicle.item_load)
+                             for vehicle in vehicles]).reshape(len(vehicles), 2)
+            accepted = np.flatnonzero((set_size[set_idx] <= room[vehicle_idx, 0])
+                                      & (set_items[set_idx] <= room[vehicle_idx, 1]))
+            s, v = set_idx[accepted], vehicle_idx[accepted]
+            # The vehicle's pending row, then the set's: a stable sort of the
+            # padding to the end closes the gap a short pending row leaves.
+            new = np.concatenate((pending[v], sets[s]), axis=1)
+            new = np.take_along_axis(new, np.argsort(new < 0, axis=1, kind="stable"),
+                                     axis=1)
+            search = self._search_rows(table, new, onboard[v], node[v], now)
+            reachable = np.flatnonzero(search.cost != INFINITY)
+            v = v[reachable]
+            # Cost(v, O_v) of the vehicles the scope's memo lacks, in one search.
+            keys = {j: (vehicles[j].vehicle_id, now) for j in dict.fromkeys(v.tolist())}
+            missing = np.array([j for j, key in keys.items() if key not in memo],
+                               dtype=np.intp)
+            self.search_stats.base_plans_reused += len(v) - len(missing)
+            if len(missing):
+                found = self._search_rows(table, pending[missing], onboard[missing],
+                                          node[missing], now)
+                memo.update(zip((keys[j] for j in missing.tolist()), found.cost.tolist(),
+                                strict=True))
+            base = np.zeros(len(vehicles))
+            base[list(keys)] = [memo[key] for key in keys.values()]
         weights = np.full(len(set_idx), INFINITY)
         weights[accepted[reachable]] = search.cost[reachable] - base[v]
         return weights, lambda i: search.plan(int(np.searchsorted(accepted, i)))
-
-    def _marginal_costs_of_requests(self, order_sets, vehicles, set_idx: list[int],
-                                    vehicle_idx: list[int], now: float,
-                                    ) -> tuple[np.ndarray, Callable[[int], RoutePlan]]:
-        """:meth:`marginal_costs` outside a planning scope: one request object
-        per accepted pair."""
-        weights = np.full(len(set_idx), INFINITY)
-        request_of: dict[int, int] = {}
-        carried: dict[int, tuple[tuple[Order, ...], tuple[Order, ...]]] = {}
-        requests = []
-        for i, (s, v) in enumerate(zip(set_idx, vehicle_idx, strict=True)):
-            orders, vehicle = order_sets[s], vehicles[v]
-            if not vehicle.can_accept(orders):
-                continue
-            held = carried.get(v)
-            if held is None:
-                held = carried[v] = (tuple(vehicle.pending_orders()),
-                                     tuple(vehicle.onboard_orders()))
-            request_of[i] = len(requests)
-            requests.append(PlanRequest(held[0] + tuple(orders), vehicle.node,
-                                        now, held[1]))
-        search = self._search(requests)
-        reachable = [i for i, j in request_of.items() if search.cost[j] != INFINITY]
-        base = self._base_costs_of((vehicles[vehicle_idx[i]] for i in reachable), now)
-        for i in reachable:
-            weights[i] = (search.cost[request_of[i]]
-                          - base[(vehicles[vehicle_idx[i]].vehicle_id, now)])
-        return weights, lambda i: search.plan(request_of[i])
 
     def marginal_cost(self, orders: Sequence[Order], vehicle: Vehicle, now: float,
                       ) -> tuple[float, RoutePlan | None]:
@@ -615,20 +533,16 @@ class CostModel:
         location is the first stop of the batch's optimal route plan
         (Sec. IV-B1); we realise this by trying each member restaurant as
         the virtual start and keeping the cheapest resulting plan.  Every
-        start of every set is one request of a single bulk search — inside a
-        planning scope, one copy of the set's row of order slots.
+        start of every set is one request of a single bulk search: one copy
+        of the set's row of order slots.
         """
         members = [tuple(sorted(orders, key=lambda o: o.order_id))
                    for orders in order_sets]
         # Set iteration order decides ties between starts, as it always has.
         starts = [list({order.restaurant_node for order in ordered})
                   for ordered in members]
-        table = self._table
-        if table is None:
-            search = self._search([PlanRequest(ordered, start, now)
-                                   for ordered, nodes in zip(members, starts, strict=True)
-                                   for start in nodes])
-        else:
+        with self.planning_scope(itertools.chain.from_iterable(members)):
+            table = self._table
             slot, index = table.slot, table.index
             sets = _padded([[slot[order.order_id] for order in ordered]
                             for ordered in members])
@@ -637,10 +551,9 @@ class CostModel:
                 table, sets[of_set], np.empty((len(of_set), 0), dtype=np.intp),
                 np.array([index[start] for nodes in starts for start in nodes],
                          dtype=np.intp), now)
-        cost = np.asarray(search.cost)
-        best = _first_minima(cost, np.asarray(search.finish),
+        best = _first_minima(search.cost, search.finish,
                              [len(nodes) for nodes in starts])
-        return (cost[best].tolist(),
+        return (search.cost[best].tolist(),
                 lambda i: Batch(members[i], search.plan(best[i])))
 
     def make_batches(self, order_sets: Sequence[Sequence[Order]],

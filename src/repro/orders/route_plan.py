@@ -228,8 +228,8 @@ def best_route_plan(new_orders: Sequence[Order], start_node: int, start_time: fl
 # bulk exhaustive search
 # --------------------------------------------------------------------------- #
 #: Upper bound on the rows (requests x valid permutations) one array pass of
-#: :func:`best_route_plan_vectorized` walks; longer request lists are cut
-#: into chunks of whole requests.  A constant rather than an option: it only
+#: :func:`route_plan_kernel` walks; longer request lists are cut into chunks
+#: of whole requests.  A constant rather than an option: it only
 #: bounds the kernel's temporaries (a dozen float64 arrays of this many
 #: elements, ~1.5 MiB) and never changes a result, and throughput on the
 #: benchmark workloads is flat from 4k to 256k rows, so there is nothing to
@@ -562,12 +562,6 @@ def request_rows(requests: Sequence[PlanRequest], table: PlanningTable,
             np.array([r.start_time for r in requests], dtype=np.float64))
 
 
-def best_route_plan_vectorized(requests: Sequence[PlanRequest], table: PlanningTable,
-                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`route_plan_kernel` for a list of same-shape :class:`PlanRequest`."""
-    return route_plan_kernel(table, *request_rows(requests, table))
-
-
 def scan_route_plan(request: PlanRequest, distance, sdt_lookup) -> RoutePlan:
     """:func:`best_route_plan` for one small request, on the cached patterns.
 
@@ -636,7 +630,6 @@ __all__ = [
     "PlanningTable",
     "route_plan_kernel",
     "request_rows",
-    "best_route_plan_vectorized",
     "scan_route_plan",
     "permutation_rows",
     "prefix_steps",

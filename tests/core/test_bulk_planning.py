@@ -2,10 +2,11 @@
 
 Four equivalences and one lifetime guarantee:
 
-* inside a planning scope :meth:`CostModel.marginal_costs`,
-  :meth:`CostModel.make_batches` and :meth:`CostModel.merge_costs` plan on
-  rows of order slots; they answer what one scalar search per pair, per
-  order set and per merge answers, ties between a batch's starts included;
+* :meth:`CostModel.marginal_costs`, :meth:`CostModel.make_batches` and
+  :meth:`CostModel.merge_costs` plan on rows of order slots, in the
+  caller's planning scope or one of their own; they answer what Def. 3,
+  Def. 4 and Eq. 7 answer, scanned pair by pair, order set by order set and
+  merge by merge over the oracle, ties between a batch's starts included;
 * the round-based :func:`build_sparsified_foodgraph` evaluates exactly the
   pairs the sequential ``vectorized=False`` loop does — same edges in the
   same insertion order, same ``cost_evaluations`` and ``nodes_expanded`` —
@@ -13,8 +14,9 @@ Four equivalences and one lifetime guarantee:
 * :func:`cluster_orders`, which weighs all of a batch's merges in one bulk
   search, performs the merges of the one-``merge_cost``-per-pair loop it
   replaced (kept below as the reference);
-* the window's planning table is gone once ``assign`` returns or raises,
-  and a plan requested after a traffic update reads post-update distances;
+* the window's planning table is gone once ``assign`` returns or raises —
+  FoodMatch's, KM's, Greedy's and Reyes's — and a plan requested after a
+  traffic update reads post-update distances;
 * no explorer of a FoodGraph build survives it.
 
 The fleets of the first equivalence include *stacks* — vehicles standing on
@@ -39,13 +41,15 @@ from repro.core import foodgraph as foodgraph_module
 from repro.core.batching import BatchingConfig, cluster_orders
 from repro.core.foodgraph import build_sparsified_foodgraph
 from repro.core.foodmatch import FoodMatchConfig, FoodMatchPolicy
+from repro.core.greedy import GreedyPolicy
 from repro.core.km_baseline import KMPolicy
+from repro.core.reyes import ReyesPolicy
 from repro.network.distance_oracle import DistanceOracle
 from repro.network.generators import random_geometric_city
 from repro.network.graph import TimeProfile
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
-from repro.orders.route_plan import best_route_plan
+from repro.orders.route_plan import best_route_plan, insertion_route_plan
 from repro.orders.vehicle import Vehicle
 
 NOW = 45_000.0
@@ -151,6 +155,32 @@ def _effort(model: CostModel):
     return (model.plan_calls, stats.base_plans_reused)
 
 
+def _plan_by_definition(model: CostModel, oracle, new_orders, start_node,
+                        onboard_orders=()):
+    """Def. 3 read off the oracle: every valid permutation scanned (the
+    insertion heuristic where the model's planner calls for it)."""
+    stops = 2 * len(new_orders) + len(onboard_orders)
+    planner = (insertion_route_plan if model.planner == "insertion"
+               or (model.planner == "auto" and stops > 8) else best_route_plan)
+    return planner(tuple(new_orders), start_node, NOW, oracle.distance, model.sdt,
+                   onboard_orders=tuple(onboard_orders))
+
+
+def _marginal_cost_by_definition(model: CostModel, oracle, orders, vehicle):
+    """Eq. 7 and Def. 4 as the paper states them: ``inf`` for a pair the
+    vehicle cannot accept or cannot serve, else the "with" plan's cost less
+    the "without" plan's."""
+    if not vehicle.can_accept(orders):
+        return math.inf, None
+    pending, onboard = vehicle.pending_orders(), vehicle.onboard_orders()
+    with_plan = _plan_by_definition(model, oracle, pending + list(orders),
+                                    vehicle.node, onboard)
+    if with_plan.cost == math.inf:
+        return math.inf, None
+    without = _plan_by_definition(model, oracle, pending, vehicle.node, onboard)
+    return with_plan.cost - without.cost, with_plan
+
+
 class TestIndexedMarginalCosts:
     @given(seed=st.integers(min_value=0, max_value=5_000),
            planner=st.sampled_from(["auto", "auto", "insertion"]))
@@ -160,35 +190,51 @@ class TestIndexedMarginalCosts:
         oracle = _oracle(seed % 5)
         nodes = oracle.network.nodes
         model = CostModel(oracle, planner=planner)
-        reference = CostModel(oracle, planner=planner, vectorized=False)
         pool = _orders(rng, nodes, 9, base_id=0)
         order_sets = [pool[0:1], pool[1:2], pool[2:4], pool[4:6], pool[6:9]]
         vehicles = _mixed_fleet(rng, nodes, model)
-        # Some pairs twice, in no particular order.
-        pairs = rng.choices(list(itertools.product(range(len(order_sets)),
-                                                   range(len(vehicles)))),
-                            k=rng.choice((1, 7, 80)))
+        # Some pairs twice, in no particular order; a call of 80 pairs offers
+        # every pair at least once, so it always has refusals, acceptances
+        # and plans of more than four orders.
+        combos = list(itertools.product(range(len(order_sets)), range(len(vehicles))))
+        k = rng.choice((1, 7, 80))
+        pairs = (rng.choices(combos, k=k) if k < len(combos)
+                 else combos + rng.choices(combos, k=k - len(combos)))
+        rng.shuffle(pairs)
         set_idx, vehicle_idx = zip(*pairs, strict=True)
+        expected = [_marginal_cost_by_definition(model, oracle, order_sets[s],
+                                                 vehicles[v]) for s, v in pairs]
 
         before = _effort(model)
         with model.planning_scope(pool, vehicles):
             assert model._table is not None
             weights, plan_of = model.marginal_costs(order_sets, vehicles, set_idx,
                                                     vehicle_idx, NOW)
-        spent = tuple(after - start for after, start in
-                      zip(_effort(model), before, strict=True))
-        # The same call on request objects (no scope, no table) ...
-        before = _effort(reference)
-        listed, listed_plan_of = reference.marginal_costs(order_sets, vehicles, set_idx,
-                                                          vehicle_idx, NOW)
-        assert spent == tuple(after - start for after, start in
-                              zip(_effort(reference), before, strict=True))
-        assert weights.tolist() == listed.tolist()
-        # ... and one pair at a time.
+            spent = tuple(after - start for after, start in
+                          zip(_effort(model), before, strict=True))
+            before = _effort(model)
+            again, _ = model.marginal_costs(order_sets, vehicles, set_idx,
+                                            vehicle_idx, NOW)
+            spent_again = tuple(after - start for after, start in
+                                zip(_effort(model), before, strict=True))
+        # One "with" search per accepted pair, one "without" search per
+        # vehicle some reachable pair offered to; the scope's memo serves
+        # the rest, and every "without" plan of a second call.
+        accepted = sum(vehicles[v].can_accept(order_sets[s]) for s, v in pairs)
+        served = [v for (_, v), (weight, _) in zip(pairs, expected, strict=True)
+                  if weight != math.inf]
+        assert spent == (accepted + len(set(served)), len(served) - len(set(served)))
+        assert spent_again == (accepted, len(served))
+        assert again.tolist() == weights.tolist()
+        # The same call with no scope open enters one of its own.
+        alone = CostModel(oracle, planner=planner)
+        listed, listed_plan_of = alone.marginal_costs(order_sets, vehicles, set_idx,
+                                                      vehicle_idx, NOW)
+        assert alone._table is None and alone._base_costs is None
+        assert _effort(alone) == spent
+        assert weights.tolist() == listed.tolist() == [weight for weight, _ in expected]
         refused = 0
-        for i, (s, v) in enumerate(pairs):
-            weight, plan = reference.marginal_cost(order_sets[s], vehicles[v], NOW)
-            assert weights[i] == weight
+        for i, ((s, v), (_, plan)) in enumerate(zip(pairs, expected, strict=True)):
             refused += not vehicles[v].can_accept(order_sets[s])
             if plan is not None:
                 for found in (plan_of(i), listed_plan_of(i)):
@@ -311,7 +357,7 @@ def _build_both(seed: int):
         max_expansions=rng.choice((None, 25, 8)))
     fast = build_sparsified_foodgraph(batches, vehicles, model, NOW,
                                       vectorized=True, **options)
-    slow = build_sparsified_foodgraph(batches, vehicles, CostModel(oracle, vectorized=False),
+    slow = build_sparsified_foodgraph(batches, vehicles, CostModel(oracle),
                                       NOW, vectorized=False, **options)
     return fast, slow, options
 
@@ -449,7 +495,7 @@ class TestBulkClustering:
                                 max_pair_distance=rng.choice((None, 400.0)))
         batches, stats = cluster_orders(orders, CostModel(oracle), NOW, config)
         expected, trace = _cluster_per_pair(
-            orders, CostModel(oracle, vectorized=False), NOW, config)
+            orders, CostModel(oracle), NOW, config)
         assert [b.order_ids for b in batches] == [b.order_ids for b in expected]
         assert [(b.plan.stops, b.plan.evaluation) for b in batches] == [
             (b.plan.stops, b.plan.evaluation) for b in expected]
@@ -469,24 +515,32 @@ def _window(seed: int = 11):
             _loaded_vehicles(rng, nodes, model, 5))
 
 
-@pytest.mark.parametrize("make_policy", [
-    lambda model: FoodMatchPolicy(model),
-    lambda model: FoodMatchPolicy(model, FoodMatchConfig(use_bfs=False,
-                                                         use_batching=False)),
-    lambda model: KMPolicy(model),
-])
+@pytest.mark.parametrize("make_policy, planned_by", [
+    (lambda model: FoodMatchPolicy(model), "marginal_costs"),
+    (lambda model: FoodMatchPolicy(model, FoodMatchConfig(use_bfs=False,
+                                                          use_batching=False)),
+     "marginal_costs"),
+    (lambda model: KMPolicy(model), "marginal_costs"),
+    (lambda model: GreedyPolicy(model), "plan_for_vehicle"),
+    (lambda model: ReyesPolicy(model), "_search_rows"),
+], ids=["foodmatch", "foodmatch-unbatched-full-graph", "km", "greedy", "reyes"])
 class TestPlanningTableLifetime:
-    def test_table_lives_exactly_as_long_as_assign(self, monkeypatch, make_policy):
+    """``planned_by`` is the cost-model method the policy plans through,
+    inside a planning scope.  Reyes opens no window scope: its one
+    ``marginal_costs`` call per window, over the matched pairs only, scopes
+    itself around the search."""
+
+    def test_table_lives_exactly_as_long_as_assign(self, monkeypatch, make_policy,
+                                                   planned_by):
         _, model, orders, vehicles = _window()
         seen = []
-        solve = foodgraph_module.solve_matching
+        plan = getattr(CostModel, planned_by)
 
-        def spy(graph):
-            seen.append(weakref.ref(model._table))
-            return solve(graph)
+        def spy(self, *args, **kwargs):
+            seen.append(weakref.ref(self._table))
+            return plan(self, *args, **kwargs)
 
-        for module in ("repro.core.foodmatch", "repro.core.km_baseline"):
-            monkeypatch.setattr(f"{module}.solve_matching", spy)
+        monkeypatch.setattr(CostModel, planned_by, spy)
         policy = make_policy(model)
         gc.disable()
         try:
@@ -497,25 +551,28 @@ class TestPlanningTableLifetime:
         finally:
             gc.enable()
 
-    def test_table_is_dropped_when_assign_raises(self, monkeypatch, make_policy):
+    def test_table_is_dropped_when_assign_raises(self, monkeypatch, make_policy,
+                                                 planned_by):
         _, model, orders, vehicles = _window()
 
         def boom(*args, **kwargs):
             assert model._table is not None
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(CostModel, "marginal_costs", boom)
+        monkeypatch.setattr(CostModel, planned_by, boom)
         with pytest.raises(RuntimeError, match="boom"):
             make_policy(model).assign(orders, vehicles, NOW)
         assert model._table is None and model._base_costs is None
 
-    def test_plans_after_a_traffic_update_read_updated_distances(self, make_policy):
+    def test_plans_after_a_traffic_update_read_updated_distances(self, make_policy,
+                                                                 planned_by):
         oracle, model, orders, vehicles = _window()
-        reference = CostModel(oracle, vectorized=False)
         before = make_policy(model).assign(orders, vehicles, NOW)
-        # (Both models memoise SDTs for good at first sight: let the
-        # reference see the orders before the update as well.)
-        make_policy(reference).assign(orders, vehicles, NOW)
+        # A model that never planned before the update, only memoised the
+        # SDTs (fixed at an order's first sight) the way ``model`` did.
+        fresh = CostModel(oracle)
+        for order in orders + [o for v in vehicles for o in v.assigned.values()]:
+            fresh.sdt(order)
         try:
             # Slow every road out of the busiest pick-up node tenfold.
             hub = orders[0].restaurant_node
@@ -523,16 +580,34 @@ class TestPlanningTableLifetime:
                 {(hub, v): 10.0 for v, _ in oracle.network.neighbors(hub)})
             assert stats.mutated_edges
             after = make_policy(model).assign(orders, vehicles, NOW)
-            expected = make_policy(reference).assign(orders, vehicles, NOW)
+            assert after
+            # Each plan is the quickest plan (Def. 3) of what its vehicle
+            # carries plus what it was given, over post-update distances, and
+            # each weight is that plan's cost (Greedy) or its Eq. 7 marginal
+            # cost (the matching policies).
+            for assignment in after:
+                vehicle = assignment.vehicle
+                assert vehicle.can_accept(assignment.orders)
+                expected = _plan_by_definition(
+                    model, oracle, vehicle.pending_orders() + list(assignment.orders),
+                    vehicle.node, vehicle.onboard_orders())
+                assert (assignment.plan.stops, assignment.plan.evaluation) == (
+                    expected.stops, expected.evaluation)
+                if planned_by == "plan_for_vehicle":
+                    assert assignment.weight == expected.cost
+                else:
+                    assert assignment.weight == _marginal_cost_by_definition(
+                        model, oracle, assignment.orders, vehicle)[0]
+            # Who gets what is what a model with no pre-update state decides.
             assert [(a.vehicle.vehicle_id, a.orders, a.weight, a.plan.evaluation)
                     for a in after] == [
                 (a.vehicle.vehicle_id, a.orders, a.weight, a.plan.evaluation)
-                for a in expected]
+                for a in make_policy(fresh).assign(orders, vehicles, NOW)]
             assert [a.plan.evaluation for a in after] != [
                 a.plan.evaluation for a in before]
             weight, plan = model.marginal_cost([orders[0]], vehicles[0], NOW)
-            expected_weight, expected_plan = reference.marginal_cost(
-                [orders[0]], vehicles[0], NOW)
+            expected_weight, expected_plan = _marginal_cost_by_definition(
+                model, oracle, [orders[0]], vehicles[0])
             assert (weight, plan.evaluation) == (expected_weight,
                                                  expected_plan.evaluation)
         finally:

@@ -1,16 +1,16 @@
 """Equivalence tests: bulk route-plan search vs the scalar permutation scan.
 
-:func:`~repro.orders.route_plan.route_plan_kernel` (reached here through its
-request-list adapter, :func:`~repro.orders.route_plan.best_route_plan_vectorized`)
-must pick, for every request of a same-shape list, the exact plan
+:func:`~repro.orders.route_plan.route_plan_kernel` (fed here by
+:func:`~repro.orders.route_plan.request_rows`) must pick, for every request
+of a same-shape list, the exact plan
 :func:`~repro.orders.route_plan.best_route_plan` returns — the same stop
 sequence (including enumeration-order tie-breaking) and a bit-identical
 evaluation — over random order sets, onboard orders and congestion
-profiles; and :class:`~repro.orders.costs.CostModel`, which groups mixed
-lists by shape and scans the small ones in Python, must do so whatever mix
-it is handed.  The kernel walks each shape's valid permutations as a tree of
-shared prefixes, so the tree itself is checked against the permutation
-matrix first.
+profiles; and :class:`~repro.orders.costs.CostModel`, which scans a small
+lone request in Python and sends a larger one through the kernel, must do
+so for every vehicle it plans, in a planning scope or out of one.  The
+kernel walks each shape's valid permutations as a tree of shared prefixes,
+so the tree itself is checked against the permutation matrix first.
 """
 
 import functools
@@ -33,7 +33,6 @@ from repro.orders.route_plan import (
     PlanningTable,
     PlanRequest,
     best_route_plan,
-    best_route_plan_vectorized,
     permutation_rows,
     prefix_steps,
     request_rows,
@@ -238,7 +237,7 @@ class TestVectorizedRoutePlan:
         for request in requests:
             by_shape.setdefault(request.shape, []).append(request)
         for group in by_shape.values():
-            winner, cost, finish = best_route_plan_vectorized(group, table)
+            winner, cost, finish = route_plan_kernel(table, *request_rows(group, table))
             for request, w, c, f in zip(group, winner.tolist(), cost.tolist(),
                                         finish.tolist(), strict=True):
                 scalar = _reference(request, oracle, sdt_lookup)
@@ -253,7 +252,7 @@ class TestVectorizedRoutePlan:
                   Order(2, nodes[1], nodes[2], placed_at=0.0))
         request = PlanRequest(orders, nodes[3], 500.0)
         table = PlanningTable(oracle, orders, [nodes[3]], lambda order: 600.0)
-        winner, cost, finish = best_route_plan_vectorized([request], table)
+        winner, cost, finish = route_plan_kernel(table, *request_rows([request], table))
         assert (winner[0], cost[0], finish[0]) == (0, math.inf, math.inf)
         _assert_same_plan(table.route_plan(request, 0),
                           _reference(request, oracle, lambda order: 600.0))
@@ -272,7 +271,7 @@ class TestVectorizedRoutePlan:
         table = PlanningTable(
             oracle, (o for r in requests for o in r.new_orders + r.onboard_orders),
             (r.start_node for r in requests), model.sdt)
-        winner, _, _ = best_route_plan_vectorized(requests, table)
+        winner, _, _ = route_plan_kernel(table, *request_rows(requests, table))
         for request, w in zip(requests[::37], winner.tolist()[::37], strict=True):
             _assert_same_plan(table.route_plan(request, w),
                               _reference(request, oracle, model.sdt))
@@ -291,28 +290,53 @@ class TestVectorizedRoutePlan:
     @given(seed=st.integers(min_value=0, max_value=4_000))
     @settings(max_examples=40, deadline=None)
     def test_cost_model_routes_large_plans_through_kernel(self, seed):
-        # Whatever the mix — one tiny request (Python scan), many (kernel,
-        # one pass per shape), in or out of a planning scope — the model
-        # answers what the scalar reference model answers.
+        # Lone requests of at most SCALAR_SCAN_ROWS permutations are scanned
+        # in Python and larger ones take one kernel pass — on the open
+        # planning table, or on a table of their own outside any scope —
+        # and either way plan_for_vehicle and vehicle_cost answer Def. 3.
         rng = random.Random(seed)
         oracle = _oracle(seed % 4)
         nodes = [node for node in oracle.network.nodes if node != ISLAND]
         requests = _requests(rng, nodes, rng.choice((1, 2, 9)))
-        vec_model = CostModel(oracle, vectorized=True)
-        ref_model = CostModel(oracle, vectorized=False)
-        reference = ref_model._search(requests)
-        passes = vec_model.search_stats.kernel_passes
-        searches = [vec_model._search(requests)]
-        with vec_model.planning_scope(
-                (o for r in requests for o in r.new_orders + r.onboard_orders),
-                [Vehicle(vehicle_id=i, node=r.start_node)
-                 for i, r in enumerate(requests)]):
-            searches.append(vec_model._search(requests))
-        for search in searches:
-            for i in range(len(requests)):
-                assert (search.cost[i], search.finish[i]) == (
-                    reference.cost[i], reference.finish[i])
-                _assert_same_plan(search.plan(i), reference.plan(i))
-        shapes = {r.shape for r in requests}
-        if sum(permutation_rows(r.shape) for r in requests) > route_plan.SCALAR_SCAN_ROWS:
-            assert vec_model.search_stats.kernel_passes >= passes + len(shapes)
+        # One lone request on either side of the scan bound, whatever the mix.
+        small, large = _orders(rng, nodes, 2, 5_000), _orders(rng, nodes, 3, 5_050)
+        requests += [PlanRequest(tuple(small), rng.choice(nodes), 40_000.0),
+                     PlanRequest(tuple(large[:2]), rng.choice(nodes), 41_000.0,
+                                 (large[2],))]
+        model = CostModel(oracle)
+        vehicles, extras = [], []
+        for i, request in enumerate(requests):
+            # The first new orders wait on the vehicle (pending, the lowest
+            # order ids, so they lead its request); the rest are offered.
+            carried = rng.randrange(len(request.new_orders) + 1)
+            vehicle = Vehicle(vehicle_id=i, node=request.start_node,
+                              max_orders=20, max_items=100)
+            held = request.new_orders[:carried] + request.onboard_orders
+            if held:
+                vehicle.assign(held, best_route_plan((), vehicle.node, 0.0,
+                                                     oracle.distance, model.sdt))
+            for order in request.onboard_orders:
+                vehicle.mark_picked_up(order.order_id)
+            vehicles.append(vehicle)
+            extras.append(request.new_orders[carried:])
+
+        def plan_all():
+            for request, vehicle, extra in zip(requests, vehicles, extras, strict=True):
+                passes = model.search_stats.kernel_passes
+                plan = model.plan_for_vehicle(vehicle, extra, request.start_time)
+                cost = model.vehicle_cost(vehicle, extra, request.start_time)
+                expected = _reference(request, oracle, model.sdt)
+                _assert_same_plan(plan, expected)
+                assert cost == expected.cost
+                large = permutation_rows(request.shape) > route_plan.SCALAR_SCAN_ROWS
+                assert model.search_stats.kernel_passes == passes + 2 * large
+
+        plan_all()
+        assert model._table is None
+        with model.planning_scope((o for r in requests for o in r.new_orders), vehicles):
+            table = model._table
+            plan_all()
+            assert model._table is table
+        assert model.plan_calls == 4 * len(requests)
+        assert {permutation_rows(r.shape) > route_plan.SCALAR_SCAN_ROWS
+                for r in requests[-2:]} == {False, True}

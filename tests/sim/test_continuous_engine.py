@@ -175,7 +175,7 @@ class TestSeveredClosureInEngine:
             self, vectorized):
         scenario = line_scenario(severed_bridge_timeline())
         oracle = DistanceOracle(scenario.network, method="hub_label")
-        cost_model = CostModel(oracle, vectorized=vectorized)
+        cost_model = CostModel(oracle)
         config = SimulationConfig(delta=300.0, start=0.0, end=1800.0,
                                   vectorized=vectorized,
                                   event_resolution="continuous")

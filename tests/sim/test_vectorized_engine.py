@@ -121,7 +121,7 @@ class TestEngineIdentity:
                                          end_hour=13, traffic=traffic,
                                          fleet=fleet)
             oracle = DistanceOracle(scenario.network)
-            cost_model = CostModel(oracle, vectorized=vectorized)
+            cost_model = CostModel(oracle)
             policy = FoodMatchPolicy(cost_model,
                                      FoodMatchConfig(vectorized=vectorized))
             config = SimulationConfig(delta=120.0, start=12 * 3600.0,
