@@ -1,33 +1,22 @@
 """End-to-end benchmark for the PR 4/PR 5 execution layers.
 
-Three kernels, all asserting exactness *before* any timing:
-
-``window_hot_path``
-    One simulated lunch hour under FoodMatch, replayed twice: with the
-    vectorised window hot path (optimistic FoodGraph rounds over CSR
-    angular exploration, cumsum vehicle metering, batched SDT prefetch —
-    the default) and with the scalar reference paths that
-    ``FoodMatchConfig(vectorized=False)`` and
-    ``SimulationConfig(vectorized=False)`` select (the sequential FoodGraph
-    loop, per-vehicle path walking and per-order SDT queries, kept for the
-    equivalence property tests); both plan routes through the one search
-    path of the cost model.  The two runs must be **bit-identical** (result
-    fingerprints over every order outcome, window record and vehicle
-    total); only then are both modes timed and the windows-per-second
-    speedup reported.
+Two kernels, both asserting exactness *before* any timing:
 
 ``parallel_sweep``
     A 12-cell sweep (two policies x two traffic intensities x three
     replicate seeds, replicates spawned hierarchically via
     :func:`repro.seeding.spawn_seed`) executed through
     :mod:`repro.experiments.executor` serially (``--jobs 1``) and with four
-    workers (``--jobs 4``).  Per-cell fingerprints must match between the
-    two runs — the bit-identity guarantee of the executor — before the
-    wall-clock comparison is recorded.  The achievable speedup is bounded
-    by the machine (``environment.cpu_count`` is stamped into the payload;
-    on a single-core container the parallel run can only break even), so
-    the smoke gate enforces identity everywhere but conditions the speedup
-    gate on available cores.
+    workers (``--jobs 4``).  Every cell's scenario is materialised before
+    either timer starts, and the parallel leg runs first, so both legs start
+    from the same process state (forked workers cannot warm the serial
+    leg's caches).  Per-cell fingerprints must match between the two runs —
+    the bit-identity guarantee of the executor — before the wall-clock
+    comparison is recorded.  The achievable speedup is bounded by the
+    machine (``environment.cpu_count`` is stamped into the payload; on a
+    single-core container the parallel run can only break even), so the
+    smoke gate enforces identity everywhere but conditions the speedup gate
+    on available cores.
 
 ``event_density``
     The PR 5 continuous-time event core.  Exactness first: a traffic+fleet
@@ -36,9 +25,14 @@ Three kernels, all asserting exactness *before* any timing:
     ``"continuous"`` (the golden invariant of the event clock).  Then the
     engine is timed at several sub-window event densities (events per
     simulated hour): windows/sec of continuous mode at density 0 / low /
-    high, plus the window-mode baseline.  The smoke gate requires the
-    zero-event continuous engine within 15% of window mode — the event
-    clock must be free when nothing fires.
+    high, plus the window-mode baseline, each the best of at least five
+    runs, with the window and zero-event continuous legs taking turns at
+    running first.  The smoke gate requires the zero-event continuous
+    engine within 15% of window mode — the event clock must be free when
+    nothing fires.
+
+The engine's window hot path has one implementation; its exactness is
+pinned by the fingerprint and property tests under ``tests/``, not here.
 
 PR 4 kernels go to ``BENCH_PR4.json``, the event-density dimension to
 ``BENCH_PR5.json`` (repo root by default; with ``--out X.json`` alone the
@@ -55,16 +49,21 @@ import os
 import pathlib
 import time
 
-from _bench_utils import REPO_ROOT, graph_info, write_bench_json
+from _bench_utils import REPO_ROOT, write_bench_json
 
-from repro.core.foodmatch import FoodMatchConfig, FoodMatchPolicy
+from repro.core.foodmatch import FoodMatchPolicy
 from repro.experiments.executor import (
     ExperimentCell,
     register_profile,
     result_fingerprint,
     run_cells,
 )
-from repro.experiments.runner import ExperimentSetting, PolicySpec, clear_cache
+from repro.experiments.runner import (
+    ExperimentSetting,
+    PolicySpec,
+    clear_cache,
+    materialize,
+)
 from repro.network.distance_oracle import DistanceOracle
 from repro.network.generators import random_geometric_city
 from repro.orders.costs import CostModel
@@ -97,63 +96,7 @@ BENCH_PROFILE = CityProfile(
 
 
 # --------------------------------------------------------------------------- #
-# kernel 1: vectorised window hot path vs the scalar reference engine
-# --------------------------------------------------------------------------- #
-def _run_engine(vectorized: bool, seed: int, start_hour: int, end_hour: int,
-                ) -> tuple[str, float, int]:
-    """One full simulation; returns (fingerprint, seconds, windows)."""
-    scenario = generate_scenario(BENCH_PROFILE, seed=seed,
-                                 start_hour=start_hour, end_hour=end_hour)
-    oracle = DistanceOracle(scenario.network)
-    oracle.refresh()  # the label build is set-up, not timed
-    cost_model = CostModel(oracle)
-    policy = FoodMatchPolicy(cost_model, FoodMatchConfig(vectorized=vectorized))
-    config = SimulationConfig(delta=BENCH_PROFILE.accumulation_window,
-                              start=start_hour * 3600.0, end=end_hour * 3600.0,
-                              vectorized=vectorized)
-    start = time.perf_counter()
-    result = simulate(scenario, policy, cost_model, config)
-    elapsed = time.perf_counter() - start
-    summary = result.summary()
-    assert summary["delivered"] + summary["rejected"] == summary["orders"], (
-        f"order accounting broken (vectorized={vectorized}): {summary}")
-    return result_fingerprint(result), elapsed, len(result.windows)
-
-
-def bench_window_hot_path(seed: int, repeats: int, start_hour: int = 12,
-                          end_hour: int = 13) -> dict:
-    """Windows/sec of the vectorised engine vs the PR 3 scalar reference."""
-    times = {True: float("inf"), False: float("inf")}
-    prints: dict[bool, str] = {}
-    windows = 0
-    for _ in range(repeats):
-        for vectorized in (True, False):
-            fingerprint, elapsed, windows = _run_engine(
-                vectorized, seed, start_hour, end_hour)
-            prints[vectorized] = fingerprint
-            times[vectorized] = min(times[vectorized], elapsed)
-    # Exactness gate before any reported number: the vectorised engine must
-    # reproduce the scalar reference bit for bit.
-    assert prints[True] == prints[False], (
-        "vectorised engine diverged from the scalar reference "
-        f"({prints[True]} != {prints[False]})")
-    return {
-        "workload": (f"{BENCH_PROFILE.name}: {windows} windows of "
-                     f"{BENCH_PROFILE.accumulation_window:.0f}s, "
-                     f"{BENCH_PROFILE.orders_per_day} orders/day scale, "
-                     f"{BENCH_PROFILE.num_vehicles} vehicles "
-                     f"({start_hour}:00-{end_hour}:00, FoodMatch)"),
-        "exactness": "bit-identical result fingerprints asserted",
-        "new_ops_per_sec": windows / times[True],
-        "seed_ops_per_sec": windows / times[False],
-        "vectorized_windows_per_sec": windows / times[True],
-        "reference_windows_per_sec": windows / times[False],
-        "speedup": times[False] / times[True],
-    }
-
-
-# --------------------------------------------------------------------------- #
-# kernel 2: process-parallel sweep vs the serial loop
+# kernel 1: process-parallel sweep vs the serial loop
 # --------------------------------------------------------------------------- #
 def _sweep_cells(scale: float, base_seed: int, replicates: int,
                  ) -> list[ExperimentCell]:
@@ -177,21 +120,27 @@ def bench_parallel_sweep(scale: float, base_seed: int, jobs: int = 4,
     """Wall-clock of one sweep grid at ``--jobs 1`` vs ``--jobs N``.
 
     Bit-identity of every cell is asserted before the timing is reported.
-    The serial run executes first from a cold scenario cache; the parallel
-    run's forked workers then inherit the parent's materialised scenarios,
-    which is exactly the executor's documented memory model.
+    Both legs do the same work: every cell's scenario (and its hub labels)
+    is materialised before either timer starts — the forked workers inherit
+    them, which is the executor's documented memory model, and the serial
+    loop reads the same cache.  The parallel leg runs first: its workers
+    leave this process untouched, so the serial leg starts from the state
+    they forked from, not from caches a serial run warmed for them.
     """
     register_profile(BENCH_PROFILE)
     cells = _sweep_cells(scale, base_seed, replicates)
 
     clear_cache()
-    serial_start = time.perf_counter()
-    serial = run_cells(cells, jobs=1)
-    serial_seconds = time.perf_counter() - serial_start
+    for cell in cells:
+        materialize(cell.setting)
 
     parallel_start = time.perf_counter()
     parallel = run_cells(cells, jobs=jobs)
     parallel_seconds = time.perf_counter() - parallel_start
+
+    serial_start = time.perf_counter()
+    serial = run_cells(cells, jobs=1)
+    serial_seconds = time.perf_counter() - serial_start
 
     failures = [outcome.error for outcome in serial + parallel if not outcome.ok]
     assert not failures, f"sweep cells failed: {failures[0]}"
@@ -219,7 +168,7 @@ def bench_parallel_sweep(scale: float, base_seed: int, jobs: int = 4,
 
 
 # --------------------------------------------------------------------------- #
-# kernel 3: continuous-time event core vs the window-quantized engine (PR 5)
+# kernel 2: continuous-time event core vs the window-quantized engine (PR 5)
 # --------------------------------------------------------------------------- #
 def _run_resolution(scenario, resolution: str, start_hour: int, end_hour: int,
                     ) -> tuple[str, float, int]:
@@ -227,7 +176,7 @@ def _run_resolution(scenario, resolution: str, start_hour: int, end_hour: int,
     oracle = DistanceOracle(scenario.network)
     oracle.refresh()  # the label build is set-up, not timed
     cost_model = CostModel(oracle)
-    policy = FoodMatchPolicy(cost_model, FoodMatchConfig())
+    policy = FoodMatchPolicy(cost_model)
     config = SimulationConfig(delta=BENCH_PROFILE.accumulation_window,
                               start=start_hour * 3600.0, end=end_hour * 3600.0,
                               event_resolution=resolution)
@@ -243,6 +192,10 @@ def bench_event_density(seed: int, repeats: int, start_hour: int = 12,
 
     Identity is asserted before any timing: a boundary-aligned traffic+fleet
     timeline must replay bit-identically under both event resolutions.
+    Every leg keeps its best of ``repeats`` runs; the window leg and the
+    zero-event continuous leg (the pair the overhead compares) swap which
+    runs first from one repeat to the next, so neither always pays for
+    running on a cold process.
     """
     delta = BENCH_PROFILE.accumulation_window
     aligned = align_scenario_events(
@@ -264,14 +217,18 @@ def bench_event_density(seed: int, repeats: int, start_hour: int = 12,
     windows = 0
     window_best = float("inf")
     continuous_best = dict.fromkeys(densities, float("inf"))
-    for _ in range(repeats):
-        _, elapsed, windows = _run_resolution(scenarios["zero"], "window",
-                                              start_hour, end_hour)
-        window_best = min(window_best, elapsed)
-        for name, scenario in scenarios.items():
-            _, elapsed, windows = _run_resolution(scenario, "continuous",
+    for repeat in range(repeats):
+        legs = [("window", "zero"), ("continuous", "zero")]
+        if repeat % 2:
+            legs.reverse()
+        legs += [("continuous", name) for name in densities if name != "zero"]
+        for resolution, name in legs:
+            _, elapsed, windows = _run_resolution(scenarios[name], resolution,
                                                   start_hour, end_hour)
-            continuous_best[name] = min(continuous_best[name], elapsed)
+            if resolution == "window":
+                window_best = min(window_best, elapsed)
+            else:
+                continuous_best[name] = min(continuous_best[name], elapsed)
     window_wps = windows / window_best
     continuous_wps = {name: windows / best
                       for name, best in continuous_best.items()}
@@ -297,23 +254,20 @@ def run(smoke: bool = False, out_path: pathlib.Path = DEFAULT_OUT,
         out_path_pr5: pathlib.Path = DEFAULT_OUT_PR5) -> dict:
     if smoke:
         results = {
-            "window_hot_path": bench_window_hot_path(seed=29, repeats=2),
             "parallel_sweep": bench_parallel_sweep(scale=0.5, base_seed=29,
                                                    jobs=4, replicates=3),
         }
-        density = bench_event_density(seed=31, repeats=2)
+        density = bench_event_density(seed=31, repeats=6)
     else:
         results = {
-            "window_hot_path": bench_window_hot_path(seed=29, repeats=3,
-                                                     end_hour=14),
             "parallel_sweep": bench_parallel_sweep(scale=1.0, base_seed=29,
                                                    jobs=4, replicates=3),
         }
-        density = bench_event_density(seed=31, repeats=3, end_hour=14)
+        density = bench_event_density(seed=31, repeats=6, end_hour=14)
     bench_net = _bench_network()
     payload = write_bench_json(
-        out_path, ("PR4 process-parallel experiment executor + vectorised "
-                   "window hot path"), smoke, results, network=bench_net)
+        out_path, "PR4 process-parallel experiment executor", smoke, results,
+        network=bench_net)
     payload_pr5 = write_bench_json(
         out_path_pr5, ("PR5 continuous-time event core: sub-window "
                        "traffic/fleet dynamics on the event clock"), smoke,
@@ -346,13 +300,8 @@ def main() -> None:
     args = parse_args()
     payload = run(smoke=args.smoke, out_path=args.out,
                   out_path_pr5=args.out_pr5)
-    window = payload["kernels"]["window_hot_path"]
     sweep = payload["kernels"]["parallel_sweep"]
     density = payload["pr5"]["kernels"]["event_density"]
-    print(f"window_hot_path: {window['speedup']:.2f}x "
-          f"({window['vectorized_windows_per_sec']:.2f} vs "
-          f"{window['reference_windows_per_sec']:.2f} windows/s) "
-          f"— {window['workload']}")
     print(f"parallel_sweep: {sweep['speedup']:.2f}x at --jobs {sweep['jobs']} "
           f"({sweep['parallel_seconds']:.2f}s vs {sweep['serial_seconds']:.2f}s "
           f"serial, {sweep['cpu_count']} CPUs) — {sweep['workload']}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
@@ -42,8 +41,6 @@ from repro.orders.batch import Batch
 from repro.orders.costs import CostModel
 from repro.orders.route_plan import RoutePlan
 from repro.orders.vehicle import Vehicle
-
-INFINITY = math.inf
 
 #: Default rejection penalty Ω: 7200 seconds (2 hours), as in Sec. V-B.
 DEFAULT_OMEGA = 7200.0
@@ -75,7 +72,7 @@ class FoodGraph:
     #: number of road-network nodes expanded by best-first search
     nodes_expanded: int = 0
     #: explore-then-evaluate rounds of the sparsified construction (0 for the
-    #: full graph and the sequential reference)
+    #: full graph)
     rounds: int = 0
     #: best-first searches the sparsified construction read: one per
     #: distinct (node, next destination) among the vehicles, so at most one
@@ -124,19 +121,6 @@ class FoodGraph:
     def vehicle_degree(self, vehicle_idx: int) -> int:
         """Number of finite-weight edges incident to a vehicle."""
         return sum(v_idx == vehicle_idx for _, v_idx in self.edges)
-
-
-def _pair_weight(batch: Batch, vehicle: Vehicle, cost_model: CostModel, now: float,
-                 omega: float, max_first_mile: float) -> tuple[float, RoutePlan | None]:
-    """Marginal cost of one batch-vehicle pair, clamped to Ω where required
-    (the sequential reference's per-pair evaluation)."""
-    first_mile = cost_model.oracle.distance(vehicle.node, batch.first_pickup_node, now)
-    if first_mile > max_first_mile:
-        return omega, None
-    weight, plan = cost_model.marginal_cost(batch.orders, vehicle, now)
-    if plan is None or weight == INFINITY:
-        return omega, None
-    return min(weight, omega), plan
 
 
 def _evaluate_pairs(graph: FoodGraph, cost_model: CostModel, now: float,
@@ -198,7 +182,6 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                                use_angular: bool = False,
                                gamma: float = 0.5,
                                max_expansions: int | None = None,
-                               vectorized: bool = True,
                                memo: SettleMemo | None = None) -> FoodGraph:
     """Sparsified FoodGraph construction via best-first search (Alg. 2).
 
@@ -211,21 +194,24 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     ``use_angular`` switches the exploration order from plain travel time to
     the vehicle-sensitive weight of Eq. 8 with the given ``gamma``.
 
-    **Optimistic rounds** (``vectorized``, the default).  Whether a
-    discovered pair becomes an edge is only known once its marginal cost is,
-    and marginal costs are far cheaper in bulk.  So each round lets every
-    unfinished vehicle explore until the pairs it has *discovered* within
-    the first-mile bound, counted as if all of them succeeded, reach ``k``;
-    then all of the round's pairs are evaluated in one bulk call, and only
-    the vehicles whose *successful* degree is still below ``k`` explore on
-    in the next round.  This evaluates exactly the pairs the one-pair-at-a-
-    time loop does: successes never outnumber discoveries, so a vehicle is
-    only ever paused at a node where the sequential loop had not stopped
-    earlier, and after the bulk evaluation its exact degree decides, as it
-    does sequentially, whether the search goes on from that very node.  The
-    evaluated set, ``cost_evaluations`` and ``nodes_expanded`` are therefore
-    identical, and edges are inserted vehicle by vehicle in discovery order
-    once all rounds are done, which is the sequential insertion order.
+    **Optimistic rounds.**  Alg. 2 as written evaluates one pair at a time
+    and stops a vehicle's search the moment its degree reaches ``k``.
+    Whether a discovered pair becomes an edge is only known once its
+    marginal cost is, and marginal costs are far cheaper in bulk.  So each
+    round lets every unfinished vehicle explore until the pairs it has
+    *discovered* within the first-mile bound, counted as if all of them
+    succeeded, reach ``k``; then all of the round's pairs are evaluated in
+    one bulk call, and only the vehicles whose *successful* degree is still
+    below ``k`` explore on in the next round.  This evaluates exactly the
+    pairs the one-pair-at-a-time loop does: successes never outnumber
+    discoveries, so a vehicle is only ever paused at a node where that loop
+    had not stopped earlier, and after the bulk evaluation its exact degree
+    decides, as it does in the loop, whether the search goes on from that
+    very node.  The evaluated set, ``cost_evaluations`` and
+    ``nodes_expanded`` are therefore identical, and edges are inserted
+    vehicle by vehicle in discovery order once all rounds are done, which
+    is the loop's insertion order.  The loop itself is kept as a test
+    oracle (``tests/core/sequential_foodgraph.py``).
     Exploration runs on the CSR adjacency
     (:class:`~repro.core.angular.VehicleSensitiveExplorer`) and the
     first-mile values come off the window's planning table.
@@ -244,10 +230,6 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     :attr:`FoodGraph.searches_reused` counts the searches that read one.
     Without a ``memo`` the call starts from an empty one.  Either way the
     graph and every counter are what a fresh search would give.
-
-    ``vectorized=False`` keeps that sequential loop — dict-based reference
-    exploration, one :meth:`CostModel.marginal_cost` per pair — as the
-    reference the equivalence tests and benchmarks compare against.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -260,10 +242,6 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
         start_index.setdefault(batch.first_pickup_node, []).append(b_idx)
 
     expansion_cap = max_expansions if max_expansions is not None else network.num_nodes
-    if not vectorized:
-        _build_sequentially(graph, cost_model, now, k, max_first_mile, use_angular,
-                            gamma, start_index, expansion_cap)
-        return graph
     if not graph.batches or not graph.vehicles:
         return graph
 
@@ -478,35 +456,6 @@ class _SharedSearch:
                 record.explorer = None
         self.settled = settled
         return False
-
-
-def _build_sequentially(graph: FoodGraph, cost_model: CostModel, now: float, k: int,
-                        max_first_mile: float, use_angular: bool, gamma: float,
-                        start_index: dict[int, list[int]], expansion_cap: int) -> None:
-    """Alg. 2 one pair at a time: the reference :func:`build_sparsified_foodgraph`
-    is tested against."""
-    network = cost_model.oracle.network
-    for v_idx, vehicle in enumerate(graph.vehicles):
-        blend = (vehicle_sensitive_weight(network, vehicle, now, gamma)
-                 if use_angular else None)
-        explorer = BestFirstExplorer(network, vehicle.node, weight=blend, t=now)
-        expanded = 0
-        # Each node is settled at most once, so every (batch, vehicle) pair
-        # is evaluated at most once and a local counter tracks the vehicle's
-        # degree exactly — no per-expansion graph recount needed.
-        degree = 0
-        for node, _ in explorer:
-            expanded += 1
-            for b_idx in start_index.get(node, ()):
-                weight, plan = _pair_weight(graph.batches[b_idx], vehicle, cost_model,
-                                            now, graph.omega, max_first_mile)
-                graph.cost_evaluations += 1
-                if plan is not None and weight < graph.omega:
-                    graph.add_edge(b_idx, v_idx, weight, plan)
-                    degree += 1
-            if degree >= k or expanded >= expansion_cap:
-                break
-        graph.nodes_expanded += expanded
 
 
 def solve_matching(graph: FoodGraph) -> list[tuple[int, int, RoutePlan, float]]:

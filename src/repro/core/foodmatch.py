@@ -67,11 +67,6 @@ class FoodMatchConfig:
         matches individual orders.
     max_orders, max_items:
         MAXO and MAXI capacity constants.
-    vectorized:
-        Run the FoodGraph construction on the array kernels (block
-        first-mile checks, CSR angular exploration).  Produces bit-identical
-        assignments to the scalar reference path; disabled only by the
-        equivalence tests and the end-to-end benchmark's reference mode.
     """
 
     eta: float = 60.0
@@ -87,7 +82,6 @@ class FoodMatchConfig:
     use_reshuffling: bool = True
     max_orders: int = 3
     max_items: int = 10
-    vectorized: bool = True
 
     def batching_config(self) -> BatchingConfig:
         return BatchingConfig(eta=self.eta, max_orders=self.max_orders,
@@ -163,7 +157,7 @@ class FoodMatchPolicy(AssignmentPolicy):
                     batches, candidates, self._cost_model, now, k,
                     omega=cfg.omega, max_first_mile=cfg.max_first_mile,
                     use_angular=cfg.use_angular, gamma=cfg.gamma,
-                    vectorized=cfg.vectorized, memo=self._settle_memo)
+                    memo=self._settle_memo)
             else:
                 graph = build_full_foodgraph(batches, candidates,
                                              self._cost_model, now,

@@ -296,7 +296,6 @@ def snapshot_simulator(sim: Simulator, policy_name: str,
             "omega": cfg.omega,
             "drain_seconds": cfg.drain_seconds,
             "charge_decision_time": cfg.charge_decision_time,
-            "vectorized": cfg.vectorized,
             "event_resolution": cfg.event_resolution,
         },
         "engine": {
@@ -349,6 +348,10 @@ def restore_simulator(payload: Mapping, oracle: DistanceOracle | None = None,
     built from the embedded scenario.  The returned simulator continues
     from its next window boundary via :meth:`Simulator.step_window` /
     :meth:`Simulator.resume`.
+
+    Checkpoints written while the engine still had a second, per-edge
+    window path carry one more ``config`` flag that selected it; restore
+    ignores it, since both of its values gave identical runs.
     """
     if _get(payload, "format", "") != CHECKPOINT_FORMAT:
         raise CheckpointError(
@@ -372,7 +375,6 @@ def restore_simulator(payload: Mapping, oracle: DistanceOracle | None = None,
                               "config.drain_seconds"),
         charge_decision_time=bool(
             _get(config_payload, "charge_decision_time", "config")),
-        vectorized=bool(_get(config_payload, "vectorized", "config")),
         event_resolution=str(
             _get(config_payload, "event_resolution", "config")),
     )

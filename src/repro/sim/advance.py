@@ -1,33 +1,33 @@
-"""Vectorised vehicle advancement: edge-metered movement on path arrays.
+"""Vehicle advancement: edge-metered movement on path arrays.
 
 The simulation engine moves every vehicle along quickest paths with
 *edge-atomic* metering: an edge whose traversal starts before the window
-boundary is completed even if it finishes slightly after.  The scalar
-reference implementation (kept in :meth:`Simulator._walk_toward_reference
-<repro.sim.engine.Simulator>`) pays, per edge, a network ``edge_time`` call
-(three dict lookups plus the slot multiplier), a haversine evaluation and a
-per-leg bookkeeping call.  On a busy window the engine walks hundreds of
-edges, all in interpreted Python.
+boundary is completed even if it finishes slightly after.  Walked edge by
+edge, that costs per edge a network ``edge_time`` call (three dict lookups
+plus the slot multiplier), a haversine evaluation and a per-leg bookkeeping
+call, and a busy window walks hundreds of edges.
 
-:class:`PathWalker` replaces that inner loop with array operations while
-producing **bit-identical** results:
+:class:`PathWalker`, the engine's one walker, meters the same edges with
+array operations and gives **bit-identical** results to that per-edge loop:
 
 * per (source, destination) pair the expanded quickest path is turned into
   flat numpy arrays of static traversal times and leg kilometres, cached
   until the network's ``mutation_epoch`` moves (traffic events);
 * metering a vehicle through a window prepends the vehicle clock to the
   scaled time array and takes one :func:`numpy.cumsum` — numpy's cumulative
-  sum accumulates strictly sequentially, so every prefix equals the scalar
+  sum accumulates strictly sequentially, so every prefix equals the per-edge
   ``clock += travel`` chain float for float;
 * the congestion multiplier is constant within a 1-hour slot, so a single
   :func:`numpy.searchsorted` finds how many edges start before the window
   boundary (or the slot boundary, whichever comes first — the walk then
-  resumes with the next slot's multiplier, exactly like the scalar loop);
+  resumes with the next slot's multiplier, exactly like the per-edge loop);
 * driven-kilometre bookkeeping applies the same prepend-and-cumsum trick
   through :meth:`Vehicle.record_legs <repro.orders.vehicle.Vehicle>`.
 
-The property tests drive both implementations over random route plans and
-assert exact equality of clocks, positions and distance accounting.
+The per-edge loop is kept as a test oracle
+(``tests/sim/test_vectorized_engine.py``): property tests drive both over
+random paths, clocks and window boundaries and assert exact equality of
+clocks, positions and distance accounting.
 """
 
 from __future__ import annotations
@@ -116,23 +116,27 @@ class PathWalker:
         return cached
 
     def walk(self, vehicle: Vehicle, dest: int, clock: float, until: float) -> float:
-        """Walk ``vehicle`` toward ``dest``; returns the updated clock.
+        """Walk ``vehicle`` along the quickest path toward ``dest``; returns
+        the updated clock.
 
-        Edge-atomic semantics of the scalar reference: an edge is taken iff
-        the clock at its start is strictly before ``until``, and its
-        traversal time uses the congestion multiplier of the slot the edge
-        *starts* in.  The vehicle may end mid-path when the window runs out.
+        Edge-atomic semantics: an edge is taken iff the clock at its start is
+        strictly before ``until``, and its traversal time uses the congestion
+        multiplier of the slot the edge *starts* in.  The vehicle may end
+        anywhere along the path when the window runs out.
 
-        Because every prefix of the metering cumsum equals the scalar
+        Because every prefix of the metering cumsum equals the per-edge
         sequential ``clock += travel`` chain, splitting one walk at an
         arbitrary set of intermediate ``until`` boundaries (window edges,
         congestion-slot edges, or the continuous engine's event timestamps)
         reproduces the unsplit walk float for float — the conservation
         property the sub-window event drain relies on.
 
-        When ``dest`` is unreachable (severed closure), the vehicle stays
-        put and waits for the road to reopen: the clock advances to
-        ``until`` with no movement and no distance recorded.
+        When ``dest`` is unreachable — a severed closure cut the vehicle off
+        — the vehicle waits in place: the clock advances to ``until`` with no
+        movement and no distance recorded, and the engine retries the walk
+        at its next epoch.  The closure's end is itself an event, so the wait
+        ends exactly when the road reopens in continuous mode, or at the
+        following window boundary in window mode.
         """
         segments = self.segments(vehicle.node, dest)
         if segments is None:

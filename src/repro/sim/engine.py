@@ -63,7 +63,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.policy import Assignment, AssignmentPolicy
 from repro.fleet.controller import FleetController
-from repro.network.geometry import haversine_distance
 from repro.obs import tracer_for_run
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import use_tracer
@@ -100,11 +99,6 @@ class SimulationConfig:
     drain_seconds: float = 3600.0
     #: whether the policy's measured decision time delays the window clock
     charge_decision_time: bool = False
-    #: run the window hot path on the array kernels (vectorised vehicle
-    #: advancement, batched SDT prefetch).  Bit-identical to the scalar
-    #: reference path, which ``False`` selects for the equivalence property
-    #: tests and the end-to-end benchmark's reference mode.
-    vectorized: bool = True
     #: ``"window"`` resolves traffic/fleet events at window boundaries only
     #: (the historical engine); ``"continuous"`` drains them at their exact
     #: timestamps through the event clock (:mod:`repro.sim.clock`).  With a
@@ -174,8 +168,7 @@ class Simulator:
         if (self.traffic is None
                 or not self.traffic.opens_on_weight_change(self.config.start)):
             cost_model.oracle.refresh()
-        self._walker = (PathWalker(cost_model.oracle)
-                        if self.config.vectorized else None)
+        self._walker = PathWalker(cost_model.oracle)
         self.vehicles = scenario.fresh_vehicles()
         # Continuous mode: queue every timeline change point strictly inside
         # the horizon.  Boundary-aligned (or absent) timelines leave the
@@ -573,10 +566,10 @@ class Simulator:
     def _ingest_orders(self, until: float) -> None:
         """Move orders placed before ``until`` from the stream into the pool.
 
-        On the vectorised path the shortest delivery times of all orders
-        arriving this window are prefetched through one paired distance
-        kernel call (bit-equal to the per-order point queries) before the
-        per-order bookkeeping loop runs against the warm memo.
+        The shortest delivery times of all orders arriving this window are
+        prefetched through one paired distance kernel call (bit-equal to the
+        per-order point queries) before the per-order bookkeeping loop runs
+        against the warm memo.
         """
         arrived: list[Order] = []
         while self._next_order is not None and self._next_order.placed_at < until:
@@ -593,8 +586,7 @@ class Simulator:
         self._ingested_until = max(self._ingested_until, until)
         if not arrived:
             return
-        if self.config.vectorized:
-            self.cost_model.prefetch_sdt(arrived)
+        self.cost_model.prefetch_sdt(arrived)
         for order in arrived:
             self._pool[order.order_id] = order
             self._outcomes[order.order_id] = OrderOutcome(
@@ -768,7 +760,7 @@ class Simulator:
         while vehicle.stop_queue and clock < until:
             stop = vehicle.stop_queue[0]
             if vehicle.node != stop.node:
-                clock = self._walk_toward(vehicle, stop.node, clock, until)
+                clock = self._walker.walk(vehicle, stop.node, clock, until)
                 if vehicle.node != stop.node:
                     break
             # The vehicle is at the stop's node: process the stop.
@@ -807,54 +799,12 @@ class Simulator:
             # Idle repositioning: drift toward the fleet controller's target.
             # The walk is metered exactly like delivery movement (edge-atomic
             # legs at load 0) and any new assignment pre-empts it.
-            clock = self._walk_toward(vehicle, vehicle.reposition_node, clock, until)
+            clock = self._walker.walk(vehicle, vehicle.reposition_node, clock, until)
             if vehicle.node == vehicle.reposition_node:
                 vehicle.reposition_node = None
         if not vehicle.stop_queue and clock < until:
             clock = until
         self._vehicle_clock[vehicle.vehicle_id] = clock
-
-    def _walk_toward(self, vehicle: Vehicle, dest: int, clock: float,
-                     until: float) -> float:
-        """Walk a vehicle along the quickest path toward ``dest``.
-
-        Edges are traversed atomically (an edge entered before ``until`` is
-        completed even if it finishes slightly after); returns the updated
-        vehicle clock.  The vehicle may end anywhere along the path when the
-        window runs out.
-
-        When ``dest`` is unreachable — a severed closure cut the vehicle off
-        — the vehicle waits in place: the clock advances to ``until``
-        without movement, and the walk is retried at the next epoch (the
-        closure's end is itself an event, so the wait ends exactly when the
-        road reopens in continuous mode, or at the following window boundary
-        in window mode).
-
-        The vectorised kernel (:class:`~repro.sim.advance.PathWalker`)
-        meters the same edges with array cumulative sums and is bit-identical
-        to the scalar reference below, which the property tests keep honest.
-        """
-        if self._walker is not None:
-            return self._walker.walk(vehicle, dest, clock, until)
-        return self._walk_toward_reference(vehicle, dest, clock, until)
-
-    def _walk_toward_reference(self, vehicle: Vehicle, dest: int, clock: float,
-                               until: float) -> float:
-        """Scalar per-edge reference implementation of :meth:`_walk_toward`."""
-        network = self.cost_model.oracle.network
-        path = self.cost_model.oracle.path_or_none(vehicle.node, dest, clock)
-        if path is None:
-            # Severed off: wait in place for the road to reopen.
-            return until
-        for u, v in zip(path, path[1:], strict=False):
-            if clock >= until:
-                break
-            travel = network.edge_time(u, v, clock)
-            km = haversine_distance(network.coord(u), network.coord(v))
-            vehicle.record_leg(km)
-            clock += travel
-            vehicle.node = v
-        return clock
 
     def _drain(self, deadline: float) -> None:
         """Let vehicles finish their remaining route plans after the last window."""

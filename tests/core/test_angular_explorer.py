@@ -4,8 +4,9 @@
 ``(node, blended_cost)`` expansion sequence of ``BestFirstExplorer`` driven
 by the :func:`~repro.core.angular.vehicle_sensitive_weight` closure — node
 for node, float for float — including distance ties and moving vehicles
-whose angular term is non-trivial.  The sparsified FoodGraph builder's
-vectorised mode rides on this equivalence.
+whose angular term is non-trivial.  The sparsified FoodGraph builder rides
+on this equivalence, and must build the graph of the one-pair-at-a-time
+loop kept in ``sequential_foodgraph``.
 """
 
 import random
@@ -26,6 +27,7 @@ from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.route_plan import RouteStop
 from repro.orders.vehicle import Vehicle
+from sequential_foodgraph import build_sequentially
 
 
 def _vehicle_at(network, node: int, destination=None) -> Vehicle:
@@ -71,7 +73,7 @@ class TestExplorerEquivalence:
 
 
 class TestSparsifiedBuilderEquivalence:
-    def test_vectorized_graph_identical_to_reference(self):
+    def test_graph_identical_to_the_sequential_loop(self):
         rng = random.Random(11)
         network = random_geometric_city(num_nodes=50, seed=11)
         oracle = DistanceOracle(network)
@@ -87,10 +89,10 @@ class TestSparsifiedBuilderEquivalence:
         for use_angular in (False, True):
             fast = build_sparsified_foodgraph(
                 batches, vehicles, cost_model, 700.0, k=3,
-                use_angular=use_angular, vectorized=True)
-            slow = build_sparsified_foodgraph(
+                use_angular=use_angular)
+            slow = build_sequentially(
                 batches, vehicles, cost_model, 700.0, k=3,
-                use_angular=use_angular, vectorized=False)
+                use_angular=use_angular)
             assert set(fast.edges) == set(slow.edges)
             for key in fast.edges:
                 assert fast.edges[key][0] == slow.edges[key][0]

@@ -8,7 +8,7 @@ Four equivalences and one lifetime guarantee:
   Def. 4 and Eq. 7 answer, scanned pair by pair, order set by order set and
   merge by merge over the oracle, ties between a batch's starts included;
 * the round-based :func:`build_sparsified_foodgraph` evaluates exactly the
-  pairs the sequential ``vectorized=False`` loop does — same edges in the
+  pairs the sequential loop (``sequential_foodgraph``) does — same edges in the
   same insertion order, same ``cost_evaluations`` and ``nodes_expanded`` —
   also when refusals force a vehicle through a second round;
 * :func:`cluster_orders`, which weighs all of a batch's merges in one bulk
@@ -51,6 +51,7 @@ from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.route_plan import best_route_plan, insertion_route_plan
 from repro.orders.vehicle import Vehicle
+from sequential_foodgraph import build_sequentially
 
 NOW = 45_000.0
 
@@ -355,10 +356,8 @@ def _build_both(seed: int):
         use_angular=rng.random() < 0.5,
         # (The network has 40 nodes.)
         max_expansions=rng.choice((None, 25, 8)))
-    fast = build_sparsified_foodgraph(batches, vehicles, model, NOW,
-                                      vectorized=True, **options)
-    slow = build_sparsified_foodgraph(batches, vehicles, CostModel(oracle),
-                                      NOW, vectorized=False, **options)
+    fast = build_sparsified_foodgraph(batches, vehicles, model, NOW, **options)
+    slow = build_sequentially(batches, vehicles, CostModel(oracle), NOW, **options)
     return fast, slow, options
 
 

@@ -110,6 +110,23 @@ class TestRoundTrip:
         result = asyncio.run(serve_recorded(restored))
         assert result_fingerprint(result) == stored["fingerprint"]
 
+    def test_restore_ignores_the_retired_engine_switch(self):
+        # The engine once had a per-edge window path behind a
+        # ``config.vectorized`` flag, and checkpoints written then carry it
+        # (the stored one above does, as ``true``).  Both of its values ran
+        # identically, so restore accepts it either way, or not at all.
+        payload = checkpoint_at(SMALL, 4)
+        assert "vectorized" not in payload["config"]
+        prints = set()
+        for flag in (None, True, False):
+            doc = json.loads(json.dumps(payload))
+            if flag is not None:
+                doc["config"]["vectorized"] = flag
+            result = asyncio.run(serve_recorded(
+                DispatchService.from_checkpoint(doc)))
+            prints.add(result_fingerprint(result))
+        assert prints == {batch_fingerprint(SMALL)}
+
     def test_finalized_simulator_cannot_checkpoint(self):
         service = make_service(SMALL)
         assert asyncio.run(serve_recorded(service)) is not None

@@ -170,14 +170,11 @@ class TestSeveredClosureInEngine:
     mid-edge between 1 and 2 — and lifts at t=1000.
     """
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_continuous_mode_stops_at_the_cut_and_resumes_on_reopen(
-            self, vectorized):
+    def test_continuous_mode_stops_at_the_cut_and_resumes_on_reopen(self):
         scenario = line_scenario(severed_bridge_timeline())
         oracle = DistanceOracle(scenario.network, method="hub_label")
         cost_model = CostModel(oracle)
         config = SimulationConfig(delta=300.0, start=0.0, end=1800.0,
-                                  vectorized=vectorized,
                                   event_resolution="continuous")
         result = simulate(scenario, GreedyPolicy(cost_model), cost_model,
                           config)

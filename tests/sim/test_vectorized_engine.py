@@ -1,10 +1,14 @@
-"""Exactness tests for the vectorised window hot path (PR 4).
+"""Exactness tests for the engine's window hot path.
 
-The engine's array kernels — metered vehicle advancement, batched SDT
-prefetch — and the cache-counter surfacing must reproduce the scalar
-reference engine bit for bit.  The advancement property test drives both
-implementations over random paths, clocks and window boundaries (including
-congestion-slot crossings, where the multiplier changes mid-walk).
+:class:`~repro.sim.advance.PathWalker`, the engine's array-metered vehicle
+walker, must move a vehicle exactly as the per-edge loop below does — one
+``edge_time`` call, one haversine and one ``record_leg`` per edge.  The
+property test drives both over random paths, clocks and window boundaries
+(including congestion-slot crossings, where the multiplier changes
+mid-walk).  The SDTs the engine prefetches for a window's arrivals must be
+the per-order point queries' bit for bit.  Whole runs are pinned by their
+fingerprints (:class:`TestEngineCorpus`), and the result's cache counters
+are checked.
 """
 
 import functools
@@ -14,18 +18,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.foodmatch import FoodMatchConfig, FoodMatchPolicy
+from repro.core.foodmatch import FoodMatchPolicy
 from repro.network.distance_oracle import DistanceOracle
 from repro.network.generators import random_geometric_city
+from repro.network.geometry import haversine_distance
 from repro.network.graph import TimeProfile
 from repro.orders.costs import CostModel
+from repro.orders.order import Order
 from repro.orders.vehicle import Vehicle
 from repro.sim.advance import PathWalker
-from repro.sim.engine import SimulationConfig, Simulator, simulate
+from repro.sim.engine import SimulationConfig, simulate
 from repro.workload.city import CITY_PROFILES
 from repro.workload.generator import generate_scenario
 
 from repro.experiments.executor import result_fingerprint
+
+
+def walk_per_edge(oracle: DistanceOracle, vehicle: Vehicle, dest: int,
+                  clock: float, until: float) -> float:
+    """:meth:`PathWalker.walk`, one edge at a time: the oracle it must match."""
+    network = oracle.network
+    path = oracle.path_or_none(vehicle.node, dest, clock)
+    if path is None:
+        # Severed off: wait in place for the road to reopen.
+        return until
+    for u, v in zip(path, path[1:], strict=False):
+        if clock >= until:
+            break
+        travel = network.edge_time(u, v, clock)
+        km = haversine_distance(network.coord(u), network.coord(v))
+        vehicle.record_leg(km)
+        clock += travel
+        vehicle.node = v
+    return clock
 
 
 def _city(seed: int):
@@ -37,17 +62,10 @@ def _city(seed: int):
 
 @functools.cache
 def _walk_fixture(net_seed: int):
-    """(walker, reference simulator, nodes) over one random peaked city."""
+    """(walker, its oracle, nodes) over one random peaked city."""
     network = _city(net_seed)
     oracle = DistanceOracle(network)
-    walker = PathWalker(oracle)
-    scenario = generate_scenario(CITY_PROFILES["CityA"].scaled(0.05),
-                                 seed=0, start_hour=12, end_hour=13)
-    cost_model = CostModel(oracle)
-    reference_sim = Simulator(
-        scenario, FoodMatchPolicy(cost_model), cost_model,
-        SimulationConfig(vectorized=False))
-    return walker, reference_sim, network.nodes
+    return PathWalker(oracle), oracle, network.nodes
 
 
 def _vehicle_state(vehicle: Vehicle):
@@ -58,9 +76,9 @@ def _vehicle_state(vehicle: Vehicle):
 class TestVectorizedAdvancement:
     @given(seed=st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=40, deadline=None)
-    def test_walk_matches_scalar_reference(self, seed):
+    def test_walk_matches_the_per_edge_loop(self, seed):
         rng = random.Random(seed)
-        walker, reference_sim, nodes = _walk_fixture(seed % 5)
+        walker, oracle, nodes = _walk_fixture(seed % 5)
         for _ in range(4):
             source, dest = rng.choice(nodes), rng.choice(nodes)
             # Clocks near hour boundaries exercise mid-walk slot changes.
@@ -70,7 +88,7 @@ class TestVectorizedAdvancement:
             vec = Vehicle(vehicle_id=1, node=source)
             ref = Vehicle(vehicle_id=2, node=source)
             clock_vec = walker.walk(vec, dest, clock, until)
-            clock_ref = reference_sim._walk_toward_reference(ref, dest, clock, until)
+            clock_ref = walk_per_edge(oracle, ref, dest, clock, until)
             assert clock_vec == clock_ref
             assert _vehicle_state(vec) == _vehicle_state(ref)
 
@@ -91,6 +109,26 @@ class TestVectorizedAdvancement:
         assert times_after is not times_before
 
 
+class TestSdtPrefetch:
+    @given(seed=st.integers(min_value=0, max_value=2_000))
+    @settings(max_examples=40, deadline=None)
+    def test_prefetched_sdt_equals_the_point_query(self, seed):
+        rng = random.Random(seed)
+        _, oracle, nodes = _walk_fixture(seed % 5)
+        # Placement times across the day: each SDT is scaled by the
+        # congestion multiplier of its own slot.
+        orders = [Order(order_id=i, restaurant_node=rng.choice(nodes),
+                        customer_node=rng.choice(nodes),
+                        placed_at=rng.uniform(0.0, 86_000.0), items=1,
+                        prep_time=rng.uniform(60.0, 900.0))
+                  for i in range(rng.randrange(1, 12))]
+        prefetched = CostModel(oracle)
+        prefetched.prefetch_sdt(orders)
+        queried = CostModel(oracle)
+        assert ([prefetched.sdt(order) for order in orders]
+                == [queried.sdt(order) for order in orders])
+
+
 class TestRecordLegs:
     @given(seed=st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=50, deadline=None)
@@ -109,26 +147,32 @@ class TestRecordLegs:
         assert bulk.km_by_load == loop.km_by_load
 
 
-class TestEngineIdentity:
-    @pytest.mark.parametrize("traffic,fleet", [("none", "none"),
-                                               ("light", "none"),
-                                               ("none", "full")])
-    def test_vectorized_engine_bit_identical(self, traffic, fleet):
-        profile = CITY_PROFILES["CityA"].scaled(0.1)
-        results = {}
-        for vectorized in (True, False):
-            scenario = generate_scenario(profile, seed=5, start_hour=12,
-                                         end_hour=13, traffic=traffic,
-                                         fleet=fleet)
-            oracle = DistanceOracle(scenario.network)
-            cost_model = CostModel(oracle)
-            policy = FoodMatchPolicy(cost_model,
-                                     FoodMatchConfig(vectorized=vectorized))
-            config = SimulationConfig(delta=120.0, start=12 * 3600.0,
-                                      end=13 * 3600.0, vectorized=vectorized)
-            results[vectorized] = simulate(scenario, policy, cost_model, config)
-        assert (result_fingerprint(results[True])
-                == result_fingerprint(results[False]))
+class TestEngineCorpus:
+    """FoodMatch on CityA x0.5, seed 5, 12-13 h, delta = 120 s (31 orders).
+
+    The prefixes were recorded while the engine still had its per-edge
+    window path (un-prefetched SDTs, the per-edge walker, the sequential
+    FoodGraph builder), which produced the same fingerprints.  Heavy traffic
+    moves the fingerprint, so the traffic case checks the walker on
+    re-weighted roads too (light traffic leaves this hour's fingerprint
+    unmoved, so it is not the case here).
+    """
+
+    @pytest.mark.parametrize("traffic,fleet,prefix", [
+        ("none", "none", "7622120304a0"),
+        ("heavy", "none", "ec7da12f6210"),
+        ("none", "full", "2deeeaa719bd"),
+    ])
+    def test_fingerprint_is_pinned(self, traffic, fleet, prefix):
+        scenario = generate_scenario(CITY_PROFILES["CityA"].scaled(0.5), seed=5,
+                                     start_hour=12, end_hour=13,
+                                     traffic=traffic, fleet=fleet)
+        cost_model = CostModel(DistanceOracle(scenario.network))
+        config = SimulationConfig(delta=120.0, start=12 * 3600.0,
+                                  end=13 * 3600.0)
+        result = simulate(scenario, FoodMatchPolicy(cost_model), cost_model,
+                          config)
+        assert result_fingerprint(result)[:12] == prefix
 
 
 class TestCacheStatsSurfacing:
