@@ -121,23 +121,6 @@ class LandmarkEstimator:
         t = self.index_of[target]
         return float(np.min(self._to[:, s] + self._from[:, t]))
 
-    def estimate_many(self, sources: Sequence[int],
-                      targets: Sequence[int]) -> np.ndarray:
-        """Paired estimates: ``result[i] ~ d(sources[i], targets[i])``."""
-        index_of = self.index_of
-        s = [index_of[x] for x in sources]
-        t = [index_of[x] for x in targets]
-        return np.min(self._to[:, s] + self._from[:, t], axis=0)
-
-    def estimate_block(self, sources: Sequence[int],
-                       targets: Sequence[int]) -> np.ndarray:
-        """Cross-product estimates: ``result[i, j] ~ d(sources[i], targets[j])``."""
-        index_of = self.index_of
-        s = [index_of[x] for x in sources]
-        t = [index_of[x] for x in targets]
-        return np.min(self._to[:, s][:, :, None] + self._from[:, t][:, None, :],
-                      axis=0)
-
 
 class BoundedHopEstimator:
     """Settle-bounded Dijkstra with a landmark far-field fallback.
@@ -212,7 +195,7 @@ class BoundedHopEstimator:
         found = tree.get(t)
         if found is not None:
             return found
-        return float(np.min(self._landmarks._to[:, s] + self._landmarks._from[:, t]))
+        return self._landmarks.estimate(source, target)
 
     def estimate_many(self, sources: Sequence[int],
                       targets: Sequence[int]) -> np.ndarray:

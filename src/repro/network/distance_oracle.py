@@ -29,6 +29,14 @@ the scalability experiments.
 Both backends also expose :meth:`path` for the simulator, which moves
 vehicles edge-by-edge along quickest paths.
 
+Each query shape (point, paired, block) has one body, which first picks
+its *path rung*: the active :mod:`repro.resilience` ladder's choice, else
+the backend's exact rung (``"hub_labels"`` with an index, ``"dijkstra"``
+without).  Exact rungs resolve point-cache misses through the index or the
+memoised trees; ``"bounded_hop_approx"`` (:mod:`repro.network.approx_paths`)
+estimates them into a cache of its own, never the point cache.  Blocks skip
+the point cache on every rung.  Only an active ladder times resolutions.
+
 Dynamic traffic (incidents, closures, zonal rush hours) enters through
 :meth:`DistanceOracle.apply_traffic_updates`: per-edge weight changes are
 patched into the network's CSR arrays in place, the update *decides*
@@ -60,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.network.approx_paths import BoundedHopEstimator
+from repro.network.approx_paths import PATH_RUNGS, BoundedHopEstimator
 from repro.network.graph import RoadNetwork
 from repro.network.hub_labeling import HubLabelIndex
 from repro.obs.trace import current_tracer
@@ -72,6 +80,8 @@ from repro.network.shortest_path import (
 )
 
 INFINITY = math.inf
+
+_HUB_LABELS, _DIJKSTRA, _APPROX = PATH_RUNGS
 
 #: Distances whose old/new values differ by no more than this are treated as
 #: unchanged when computing affected-node sets (absorbs float re-association
@@ -230,8 +240,8 @@ class DistanceOracle:
     network:
         The underlying road network.
     method:
-        ``"hub_label"`` (default), ``"dijkstra"`` or ``"auto"``.  ``"auto"``
-        picks hub labels for networks above a small size threshold and plain
+        ``"auto"`` (default), ``"hub_label"`` or ``"dijkstra"``.  ``"auto"``
+        picks hub labels for networks of at least 60 nodes and plain
         memoised Dijkstra below it.
     point_cache_size, path_cache_size, sssp_cache_size:
         LRU capacities for the point-to-point distance cache, the expanded
@@ -393,70 +403,71 @@ class DistanceOracle:
     # ------------------------------------------------------------------ #
     # distance queries
     # ------------------------------------------------------------------ #
+    def _path_rung(self, ladders) -> str:
+        """The active registry's rung, else the backend's exact rung.
+
+        A registry offers ``"hub_labels"`` only when the index exists; its
+        ``"dijkstra"`` forces the trees even then.
+        """
+        if ladders is not None:
+            return ladders.path_rung(self)
+        return _HUB_LABELS if self._index is not None else _DIJKSTRA
+
+    def _exact_distance(self, rung: str, source: int, target: int) -> float:
+        """One static distance on an exact rung (no point cache)."""
+        if rung == _HUB_LABELS:
+            return self._index.query(source, target)
+        return self._sssp_tree(source).get(target, INFINITY)
+
     def _static_distance(self, source: int, target: int) -> float:
         """Static (profile-free) distance with point LRU memoisation."""
         ladders = current_ladders()
-        if ladders is not None:
-            return self._static_distance_laddered(ladders, source, target)
+        rung = self._path_rung(ladders)
+        began = perf_counter() if ladders is not None else 0.0
         key = (source, target)
-        cached = self._point_cache.get(key)
-        if cached is not None:
-            return cached
-        if self._index is not None:
-            value = self._index.query(source, target)
-        else:
-            value = self._sssp_tree(source).get(target, INFINITY)
-        self._point_cache.put(key, value)
-        return value
-
-    def _static_distance_laddered(self, ladders, source: int,
-                                  target: int) -> float:
-        """Rung-dispatched :meth:`_static_distance` (ladder registry active)."""
-        rung = ladders.path_rung(self)
-        began = perf_counter()
-        if rung == "bounded_hop_approx":
-            value = self._approx_distance(ladders, source, target)
-        else:
-            key = (source, target)
-            value = self._point_cache.get(key)
+        cache = self._point_cache
+        if rung == _APPROX and key not in cache:
+            value = self._approximate(ladders, [source], [target])[0]
+        else:  # on any rung, an exact answer already paid for wins
+            value = cache.get(key)
             if value is None:
-                # "hub_labels" is only selectable when the index exists;
-                # "dijkstra" forces the tree path even when it does.
-                if rung == "hub_labels":
-                    value = self._index.query(source, target)
-                else:
-                    value = self._sssp_tree(source).get(target, INFINITY)
-                self._point_cache.put(key, value)
-        ladders.record_path(rung, perf_counter() - began)
+                value = self._exact_distance(rung, source, target)
+                cache.put(key, value)
+        if ladders is not None:
+            ladders.record_path(rung, perf_counter() - began)
         return value
 
-    def _ensure_approx(self) -> BoundedHopEstimator:
+    def _approximate(self, ladders, sources: Sequence[int],
+                     targets: Sequence[int], block: bool = False):
+        """The approximate rung, for point and pair misses or a whole block.
+
+        Misses come from the rung's own cache or are estimated (estimates
+        NEVER enter the exact point cache); a call that estimated may
+        shadow-resolve its first estimate on the backend's exact rung for
+        the stretch report.  A ``block`` skips every cache.
+        """
         estimator = self._approx
         if estimator is None:
             estimator = self._approx = BoundedHopEstimator(self._network)
-        return estimator
-
-    def _approx_distance(self, ladders, source: int, target: int) -> float:
-        """Approximate-rung resolution with its own cache and shadow samples."""
-        key = (source, target)
-        if key in self._point_cache:
-            # An exact answer someone already paid for beats an estimate.
-            return self._point_cache.get(key)
+        if block:
+            return estimator.estimate_block(sources, targets)
         cache = self._approx_cache
         if cache is None:
             cache = self._approx_cache = LRUCache(self._point_cache.capacity)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        value = float(self._ensure_approx().estimate(source, target))
-        cache.put(key, value)
-        if ladders.take_path_sample():
-            if self._index is not None:
-                exact = self._index.query(source, target)
-            else:
-                exact = self._sssp_tree(source).get(target, INFINITY)
-            ladders.record_path_stretch(value, exact)
-        return value
+        keys = list(zip(sources, targets, strict=True))
+        values = [cache.get(key) for key in keys]
+        pending = [i for i, value in enumerate(values) if value is None]
+        if pending:
+            estimates = estimator.estimate_many([sources[i] for i in pending],
+                                                [targets[i] for i in pending])
+            for i, value in zip(pending, estimates.tolist(), strict=True):
+                cache.put(keys[i], value)
+                values[i] = value
+            if ladders.take_path_sample():
+                first = pending[0]
+                exact = self._exact_distance(self._path_rung(None), *keys[first])
+                ladders.record_path_stretch(values[first], exact)
+        return values
 
     def _sssp_tree(self, source: int) -> dict[int, float]:
         """Memoised static single-source tree (Dijkstra backend)."""
@@ -502,106 +513,41 @@ class DistanceOracle:
         if len(sources) != len(targets):
             raise ValueError("sources and targets must have equal length")
         ladders = current_ladders()
+        rung = self._path_rung(ladders)
+        began = perf_counter() if ladders is not None else 0.0
+        k = len(sources)
+        self.query_count += k
+        self.batch_query_count += 1
+        out = np.empty(k, dtype=np.float64)
+        cache = self._point_cache
+        miss_pos: list[int] = []
+        for i, (s, tg) in enumerate(zip(sources, targets, strict=True)):
+            if s == tg:
+                out[i] = 0.0
+                continue
+            cached = cache.get((s, tg))
+            if cached is None:
+                miss_pos.append(i)
+            else:
+                out[i] = cached
+        if miss_pos:
+            miss_src = [sources[i] for i in miss_pos]
+            miss_tgt = [targets[i] for i in miss_pos]
+            if rung == _HUB_LABELS:
+                values = self._index.query_many(miss_src, miss_tgt).tolist()
+            elif rung == _DIJKSTRA:
+                values = [self._sssp_tree(s).get(tg, INFINITY)
+                          for s, tg in zip(miss_src, miss_tgt, strict=True)]
+            else:
+                values = self._approximate(ladders, miss_src, miss_tgt)
+            if rung != _APPROX:
+                for key, value in zip(zip(miss_src, miss_tgt, strict=True),
+                                      values, strict=True):
+                    cache.put(key, value)
+            out[miss_pos] = values
         if ladders is not None:
-            return self._static_distances_laddered(ladders, sources, targets)
-        k = len(sources)
-        self.query_count += k
-        self.batch_query_count += 1
-        out = np.empty(k, dtype=np.float64)
-        cache = self._point_cache
-        miss_pos: list[int] = []
-        for i, (s, tg) in enumerate(zip(sources, targets, strict=True)):
-            if s == tg:
-                out[i] = 0.0
-                continue
-            cached = cache.get((s, tg))
-            if cached is None:
-                miss_pos.append(i)
-            else:
-                out[i] = cached
-        if miss_pos:
-            if self._index is not None:
-                miss_src = [sources[i] for i in miss_pos]
-                miss_tgt = [targets[i] for i in miss_pos]
-                values = self._index.query_many(miss_src, miss_tgt)
-                for i, value in zip(miss_pos, values.tolist(), strict=True):
-                    cache.put((sources[i], targets[i]), value)
-                    out[i] = value
-            else:
-                for i in miss_pos:
-                    value = self._sssp_tree(sources[i]).get(targets[i], INFINITY)
-                    cache.put((sources[i], targets[i]), value)
-                    out[i] = value
+            ladders.record_path(rung, perf_counter() - began)
         return out
-
-    def _static_distances_laddered(self, ladders, sources: Sequence[int],
-                                   targets: Sequence[int]) -> np.ndarray:
-        """Rung-dispatched :meth:`static_distances` (ladder registry active)."""
-        rung = ladders.path_rung(self)
-        began = perf_counter()
-        k = len(sources)
-        self.query_count += k
-        self.batch_query_count += 1
-        out = np.empty(k, dtype=np.float64)
-        cache = self._point_cache
-        miss_pos: list[int] = []
-        for i, (s, tg) in enumerate(zip(sources, targets, strict=True)):
-            if s == tg:
-                out[i] = 0.0
-                continue
-            cached = cache.get((s, tg))
-            if cached is None:
-                miss_pos.append(i)
-            else:
-                out[i] = cached
-        if miss_pos:
-            if rung == "bounded_hop_approx":
-                self._resolve_approx_pairs(ladders, sources, targets,
-                                           miss_pos, out)
-            elif rung == "hub_labels":
-                miss_src = [sources[i] for i in miss_pos]
-                miss_tgt = [targets[i] for i in miss_pos]
-                values = self._index.query_many(miss_src, miss_tgt)
-                for i, value in zip(miss_pos, values.tolist(), strict=True):
-                    cache.put((sources[i], targets[i]), value)
-                    out[i] = value
-            else:
-                for i in miss_pos:
-                    value = self._sssp_tree(sources[i]).get(targets[i], INFINITY)
-                    cache.put((sources[i], targets[i]), value)
-                    out[i] = value
-        ladders.record_path(rung, perf_counter() - began)
-        return out
-
-    def _resolve_approx_pairs(self, ladders, sources: Sequence[int],
-                              targets: Sequence[int], miss_pos: list[int],
-                              out: np.ndarray) -> None:
-        """Fill ``out[miss_pos]`` from the approximate rung's estimator."""
-        cache = self._approx_cache
-        if cache is None:
-            cache = self._approx_cache = LRUCache(self._point_cache.capacity)
-        pending: list[int] = []
-        for i in miss_pos:
-            cached = cache.get((sources[i], targets[i]))
-            if cached is None:
-                pending.append(i)
-            else:
-                out[i] = cached
-        if not pending:
-            return
-        estimator = self._ensure_approx()
-        values = estimator.estimate_many([sources[i] for i in pending],
-                                         [targets[i] for i in pending])
-        for i, value in zip(pending, values.tolist(), strict=True):
-            cache.put((sources[i], targets[i]), value)
-            out[i] = value
-        if ladders.take_path_sample():
-            i = pending[0]
-            if self._index is not None:
-                exact = self._index.query(sources[i], targets[i])
-            else:
-                exact = self._sssp_tree(sources[i]).get(targets[i], INFINITY)
-            ladders.record_path_stretch(out[i], exact)
 
     def distance_matrix(self, sources: Sequence[int], targets: Sequence[int],
                         t: float = 0.0) -> np.ndarray:
@@ -622,48 +568,26 @@ class DistanceOracle:
 
         Used by the cost model to prefetch the pairwise distances among a
         route plan's stop nodes once, then scale each leg by the slot
-        multiplier of its actual departure time.
+        multiplier of its actual departure time.  Blocks bypass the point
+        cache on every rung.
         """
         ladders = current_ladders()
-        if ladders is not None:
-            return self._static_distance_matrix_laddered(ladders, sources,
-                                                         targets)
-        num_s, num_t = len(sources), len(targets)
-        self.query_count += num_s * num_t
+        rung = self._path_rung(ladders)
+        began = perf_counter() if ladders is not None else 0.0
+        self.query_count += len(sources) * len(targets)
         self.batch_query_count += 1
-        if self._index is not None:
-            return self._index.query_block(sources, targets)
-        out = np.empty((num_s, num_t), dtype=np.float64)
-        for i, s in enumerate(sources):
-            tree = self._sssp_tree(s)
-            for j, tg in enumerate(targets):
-                out[i, j] = 0.0 if s == tg else tree.get(tg, INFINITY)
-        return out
-
-    def _static_distance_matrix_laddered(self, ladders, sources: Sequence[int],
-                                         targets: Sequence[int]) -> np.ndarray:
-        """Rung-dispatched :meth:`static_distance_matrix`.
-
-        Block queries bypass the point cache on every rung (mirroring the
-        exact path), so the approximate rung estimates the whole block
-        directly.
-        """
-        rung = ladders.path_rung(self)
-        began = perf_counter()
-        num_s, num_t = len(sources), len(targets)
-        self.query_count += num_s * num_t
-        self.batch_query_count += 1
-        if rung == "bounded_hop_approx":
-            out = self._ensure_approx().estimate_block(sources, targets)
-        elif rung == "hub_labels":
+        if rung == _HUB_LABELS:
             out = self._index.query_block(sources, targets)
-        else:
-            out = np.empty((num_s, num_t), dtype=np.float64)
+        elif rung == _DIJKSTRA:
+            out = np.empty((len(sources), len(targets)), dtype=np.float64)
             for i, s in enumerate(sources):
                 tree = self._sssp_tree(s)
-                for j, tg in enumerate(targets):
-                    out[i, j] = 0.0 if s == tg else tree.get(tg, INFINITY)
-        ladders.record_path(rung, perf_counter() - began)
+                out[i] = [0.0 if s == tg else tree.get(tg, INFINITY)
+                          for tg in targets]
+        else:
+            out = self._approximate(ladders, sources, targets, block=True)
+        if ladders is not None:
+            ladders.record_path(rung, perf_counter() - began)
         return out
 
     def path(self, source: int, target: int, t: float = 0.0) -> list[int]:

@@ -16,8 +16,9 @@ up, latency the second, and work the last.
 
 Nothing here is active by default — :func:`build_resilience` returns
 ``None`` unless a backend pin, a budget, or a fault plan was requested, and
-every hooked code path short-circuits on ``current_ladders() is None``, so
-unconfigured runs remain bit-identical to a build without this package.
+with no registry the matching solve runs its default backend and the
+oracle's one rung choice is its backend's exact rung, so unconfigured runs
+remain bit-identical to a build without this package.
 
 Submodules resolve lazily (PEP 562): low-level kernels import only the
 dependency-free :mod:`repro.resilience.context`, and nothing here drags the

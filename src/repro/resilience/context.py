@@ -10,7 +10,8 @@ one way.
 
 Same idiom as :func:`repro.obs.trace.use_tracer`: a plain module-global
 stack, correct because simulations are single-threaded per process, with
-``None`` (no registry, exact single-backend code paths) as the default.
+``None`` as the default: the matching solve then runs its default backend
+and the oracle's one rung choice is its backend's exact rung.
 """
 
 from __future__ import annotations

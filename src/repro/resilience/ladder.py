@@ -17,11 +17,12 @@ with two separate notions of "where we are":
 The :class:`LadderRegistry` bundles the matching and path ladders behind the
 call sites' interface: :meth:`LadderRegistry.solve_matching` wraps the
 sparse matching solve (degrade-and-retry on backend failure, never on input
-errors) and :meth:`LadderRegistry.path_rung` tells the
-:class:`~repro.network.distance_oracle.DistanceOracle` which rung to answer
-with.  Quality deltas — greedy matching objective vs the exact solver, and
-approximate path stretch — are shadow-sampled so every degraded window
-reports what the latency it bought back actually cost.
+errors) and :meth:`LadderRegistry.path_rung` is the rung the
+:class:`~repro.network.distance_oracle.DistanceOracle`'s one rung choice
+takes for every query while a registry is active.  Quality deltas — greedy
+matching objective vs the exact solver, and approximate path stretch — are
+shadow-sampled so every degraded window reports what the latency it bought
+back actually cost.
 
 Call sites find the active registry through the same module-global stack
 idiom as :func:`repro.obs.trace.use_tracer`: ``current_ladders()`` is

@@ -115,8 +115,8 @@ def build_resilience(matching_backend: str | None = None,
     """Build a manager, or ``None`` when no resilience feature is requested.
 
     The ``None`` return is load-bearing: without a manager the engine
-    installs no ladder registry and every touched code path short-circuits
-    on ``current_ladders() is None``, keeping default runs bit-identical.
+    installs no ladder registry, so matching and oracle queries keep their
+    backends' exact defaults and default runs stay bit-identical.
     """
     plan = FaultPlan.parse(faults)
     if matching_backend is None and path_backend is None \

@@ -5,7 +5,6 @@ The degraded contract: estimates are admissible *upper* bounds (stretch
 fixed seed.
 """
 
-import numpy as np
 import pytest
 
 from repro.network.approx_paths import (
@@ -67,25 +66,6 @@ class TestLandmarkEstimator:
         a = LandmarkEstimator(grid, num_landmarks=4, seed=3)
         b = LandmarkEstimator(grid, num_landmarks=4, seed=3)
         assert a.landmarks == b.landmarks
-
-    def test_estimate_many_matches_scalar(self, grid):
-        estimator = LandmarkEstimator(grid, num_landmarks=4, seed=0)
-        pairs = sample_pairs(grid, count=10)
-        sources = [s for s, _ in pairs]
-        targets = [t for _, t in pairs]
-        many = estimator.estimate_many(sources, targets)
-        for i, (s, t) in enumerate(pairs):
-            assert many[i] == pytest.approx(estimator.estimate(s, t))
-
-    def test_estimate_block_matches_scalar(self, grid):
-        estimator = LandmarkEstimator(grid, num_landmarks=4, seed=0)
-        sources = grid.nodes[:3]
-        targets = grid.nodes[10:14]
-        block = estimator.estimate_block(sources, targets)
-        assert block.shape == (3, 4)
-        for i, s in enumerate(sources):
-            for j, t in enumerate(targets):
-                assert block[i, j] == pytest.approx(estimator.estimate(s, t))
 
 
 class TestBoundedHopEstimator:
