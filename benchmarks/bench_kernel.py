@@ -31,6 +31,7 @@ import pathlib
 import random
 import time
 
+import numpy as np
 from _bench_utils import REPO_ROOT, graph_info, write_bench_json
 
 import repro.core.matching as matching
@@ -38,6 +39,7 @@ from repro.core.matching import (
     MATCHING_BACKEND,
     matching_cost,
     minimum_weight_matching,
+    sparse_matching_objective,
     sparse_minimum_weight_matching,
 )
 from repro.network._dict_hub_labels import DictHubLabelIndex
@@ -108,12 +110,16 @@ def bench_hub_label_query(num_nodes: int, num_sources: int, num_targets: int,
 def bench_matching_window(num_batches: int, num_vehicles: int, degree: int,
                           repeats: int) -> dict:
     rng = random.Random(3)
-    edges = {}
+    rows, cols, weights = [], [], []
     for b in range(num_batches):
         for v in rng.sample(range(num_vehicles), degree):
-            edges[(b, v)] = rng.uniform(30.0, OMEGA * 0.5)
-    dense = [[edges.get((b, v), OMEGA) for v in range(num_vehicles)]
-             for b in range(num_batches)]
+            rows.append(b)
+            cols.append(v)
+            weights.append(rng.uniform(30.0, OMEGA * 0.5))
+    edges = (np.array(rows), np.array(cols), np.array(weights))
+    dense = np.full((num_batches, num_vehicles), OMEGA)
+    dense[edges[0], edges[1]] = edges[2]
+    dense = dense.tolist()
 
     def seed_solve():
         # The seed path: dense Ω-filled matrix through the in-repo Hungarian.
@@ -125,16 +131,14 @@ def bench_matching_window(num_batches: int, num_vehicles: int, degree: int,
             matching._linear_sum_assignment = saved
 
     def new_solve():
-        return sparse_minimum_weight_matching(num_batches, num_vehicles,
-                                              edges, OMEGA)
+        return sparse_minimum_weight_matching(num_batches, num_vehicles, *edges, OMEGA)
 
     smaller = min(num_batches, num_vehicles)
     seed_pairs = [p for p in seed_solve() if dense[p[0]][p[1]] < OMEGA]
-    new_pairs = new_solve()
     seed_obj = (matching_cost(dense, seed_pairs)
                 + OMEGA * (smaller - len(seed_pairs)))
-    new_obj = (sum(edges[p] for p in new_pairs)
-               + OMEGA * (smaller - len(new_pairs)))
+    new_obj = sparse_matching_objective(num_batches, num_vehicles, *edges, OMEGA,
+                                        new_solve())
     assert abs(seed_obj - new_obj) <= 1e-6 * max(1.0, abs(seed_obj)), \
         (seed_obj, new_obj)
 

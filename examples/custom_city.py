@@ -16,6 +16,8 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.batching import BatchingConfig, cluster_orders
 from repro.core.foodgraph import build_sparsified_foodgraph, solve_matching
 from repro.core.foodmatch import FoodMatchConfig, FoodMatchPolicy
@@ -72,7 +74,11 @@ def inspect_one_window(scenario, cost_model) -> None:
     graph = build_sparsified_foodgraph(batches, vehicles, cost_model, now, k=3,
                                        use_angular=True, gamma=0.5)
     matches = solve_matching(graph)
-    print(f"  sparsified FoodGraph: {graph.edge_count} finite edges, "
+    # The edges are parallel arrays: batch_idx, vehicle_idx and weights.
+    degrees = np.bincount(graph.vehicle_idx, minlength=len(vehicles))
+    print(f"  sparsified FoodGraph: {graph.edge_count} finite edges "
+          f"(per-vehicle degrees {degrees.tolist()}, cheapest "
+          f"{graph.weights.min(initial=np.inf):.1f}s), "
           f"{graph.cost_evaluations} marginal-cost evaluations, "
           f"{len(matches)} batches matched")
 

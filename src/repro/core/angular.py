@@ -112,6 +112,19 @@ def blended_time_terms(network: RoadNetwork, now: float) -> list[float]:
     return terms.tolist()
 
 
+NodeGeometry = tuple[list[tuple[float, float]], list[float], list[float], list[float]]
+
+
+def node_geometry(network: RoadNetwork) -> NodeGeometry:
+    """Per CSR node: its coordinate, longitude in radians and the cosine and
+    sine of its latitude — the ``math`` calls :func:`~repro.network.geometry.bearing`
+    makes on every call, made once (the FoodGraph builder: once per window)."""
+    coords = [network.coord(node) for node in network.csr().node_ids]
+    lat = [math.radians(lat) for lat, _ in coords]
+    return (coords, [math.radians(lon) for _, lon in coords],
+            [math.cos(x) for x in lat], [math.sin(x) for x in lat])
+
+
 class VehicleSensitiveExplorer:
     """Best-first search under the Eq. 8 blend, on the CSR array adjacency.
 
@@ -128,10 +141,10 @@ class VehicleSensitiveExplorer:
       precomputed for all edges in one vectorised pass
       (:func:`blended_time_terms`) and shared across vehicles;
     * the angular term depends only on the edge's *head* node (and the
-      vehicle), so it is computed at most once per node — lazily, with the
-      very same scalar
-      :func:`~repro.network.geometry.angular_distance_from_heading` the
-      reference closure calls, keeping every value bit-identical;
+      vehicle), so it is computed at most once per node — lazily, inline,
+      with the operations of :func:`~repro.network.geometry.angular_distance_from_heading`
+      on :func:`node_geometry`'s hoisted trigonometry, keeping every value
+      bit-identical;
     * the search itself is the plain heap Dijkstra of the CSR kernels, with
       heap entries ordered by ``(distance, node_id)`` exactly like the
       dict-based reference, so tie-breaking matches too.
@@ -140,14 +153,14 @@ class VehicleSensitiveExplorer:
     def __init__(self, network: RoadNetwork, vehicle: Vehicle, now: float,
                  gamma: float = 0.5,
                  time_terms: list[float] | None = None,
-                 coords: list[tuple[float, float]] | None = None) -> None:
+                 geometry: NodeGeometry | None = None) -> None:
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         csr = network.csr()
         if time_terms is None:
             time_terms = blended_time_terms(network, now)
-        if coords is None:
-            coords = [network.coord(node) for node in csr.node_ids]
+        if geometry is None:
+            geometry = node_geometry(network)
         self._settles = [0]
         # One generator frame keeps every hot local bound across all the
         # thousands of per-node resumptions of one search.  The frame holds
@@ -156,8 +169,7 @@ class VehicleSensitiveExplorer:
         # cyclic collector with its per-node lists.
         self._iterator = _blended_best_first(
             csr, csr.index_of[vehicle.node], vehicle.node, gamma, time_terms,
-            coords, network.coord(vehicle.node), _heading(network, vehicle),
-            self._settles)
+            geometry, _heading(network, vehicle), self._settles)
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         return self._iterator
@@ -173,14 +185,19 @@ class VehicleSensitiveExplorer:
 
 
 def _blended_best_first(csr, src: int, source_id: int, gamma: float,
-                        time_terms: list[float], coords: list[tuple[float, float]],
-                        vehicle_coord, heading: float | None, settles: list[int],
+                        time_terms: list[float], geometry: NodeGeometry,
+                        heading: float | None, settles: list[int],
                         ) -> Iterator[tuple[int, float]]:
     """The search loop of :class:`VehicleSensitiveExplorer` (``settles[0]`` counts)."""
     indptr = csr.indptr_list
     indices = csr.indices_list
     node_ids = csr.node_ids
     one_minus_gamma = 1.0 - gamma
+    coords, lon, cos_lat, sin_lat = geometry
+    vehicle_coord = coords[src]
+    lon0, cos_lat0, sin_lat0 = lon[src], cos_lat[src], sin_lat[src]
+    sin, cos, atan2 = math.sin, math.cos, math.atan2
+    two_pi = 2.0 * math.pi
     # Lazily filled per-head-node angular terms (None = not yet computed).
     angular: list[float | None] = [None] * csr.num_nodes
     dist = [INFINITY] * csr.num_nodes
@@ -203,11 +220,16 @@ def _blended_best_first(csr, src: int, source_id: int, gamma: float,
                 continue
             term = angular[head]
             if term is None:
-                if heading is None:
+                if heading is None or coords[head] == vehicle_coord:
                     term = 0.0
                 else:
-                    term = angular_distance_from_heading(heading, vehicle_coord,
-                                                         coords[head])
+                    # angular_distance_from_heading(heading, vehicle_coord,
+                    # coords[head]), bearing included, operation for operation.
+                    d_lon = lon[head] - lon0
+                    theta = atan2(cos_lat[head] * sin(d_lon),
+                                  cos_lat0 * sin_lat[head]
+                                  - sin_lat0 * cos_lat[head] * cos(d_lon)) % two_pi
+                    term = (1.0 - cos(heading - (theta if theta < two_pi else 0.0))) / 2.0
                 angular[head] = term
             nd = d + (gamma * term + one_minus_gamma * time_terms[j])
             if nd < dist[head]:
@@ -217,4 +239,4 @@ def _blended_best_first(csr, src: int, source_id: int, gamma: float,
 
 
 __all__ = ["vehicle_sensitive_weight", "travel_time_weight",
-           "blended_time_terms", "VehicleSensitiveExplorer"]
+           "blended_time_terms", "node_geometry", "VehicleSensitiveExplorer"]

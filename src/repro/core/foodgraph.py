@@ -14,15 +14,14 @@ or prohibitively distant pairs.  Two constructions are provided:
   order can use either plain travel time or the angular-distance blend of
   Eq. 8.
 
-:func:`solve_matching` runs Kuhn–Munkres on the resulting graph and drops
-matches that only exist through Ω edges (those orders stay unassigned and
-roll into the next accumulation window).
+A :class:`FoodGraph` keeps its edges as parallel arrays, not a Python object
+each, from discovery to matching.  :func:`solve_matching` runs Kuhn–Munkres
+on them and drops matches that only exist through Ω edges (those orders stay
+unassigned and roll into the next accumulation window).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
@@ -31,6 +30,7 @@ import numpy as np
 from repro.core.angular import (
     VehicleSensitiveExplorer,
     blended_time_terms,
+    node_geometry,
     vehicle_sensitive_weight,
 )
 from repro.core.matching import sparse_minimum_weight_matching
@@ -50,23 +50,30 @@ DEFAULT_OMEGA = 7200.0
 DEFAULT_MAX_FIRST_MILE = 2700.0
 
 
+def _no_edges() -> np.ndarray:
+    return np.empty(0, dtype=np.intp)
+
+
 @dataclass
 class FoodGraph:
     """A (possibly sparsified) bipartite assignment graph.
 
-    Edges are stored sparsely: a missing ``(batch_idx, vehicle_idx)`` entry
-    means the pair's weight is Ω and no route plan is attached.  An edge's
-    plan may be stored as a zero-argument function producing it — the bulk
-    builders know every weight but materialise only the plans somebody reads
-    — so read plans through :meth:`plan`, not off :attr:`edges`.
+    Edge ``i`` joins batch ``batch_idx[i]`` to vehicle ``vehicle_idx[i]`` at
+    ``weights[i]``, in the order the builder found them, one per pair at
+    most; a pair without an edge weighs Ω and has no route plan.  Plans are
+    built only when read (:meth:`plan`): edge ``i`` is pair ``plan_local[i]``
+    of bulk evaluation ``plan_round[i]``, whose ``plan_of`` entry builds it.
     """
 
     batches: list[Batch]
     vehicles: list[Vehicle]
     omega: float = DEFAULT_OMEGA
-    edges: dict[tuple[int, int],
-                tuple[float, RoutePlan | Callable[[], RoutePlan]]] = field(
-                    default_factory=dict)
+    batch_idx: np.ndarray = field(default_factory=_no_edges)
+    vehicle_idx: np.ndarray = field(default_factory=_no_edges)
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    plan_round: np.ndarray = field(default_factory=_no_edges)
+    plan_local: np.ndarray = field(default_factory=_no_edges)
+    plan_of: list[Callable[[int], RoutePlan]] = field(default_factory=list)
     #: number of true marginal-cost evaluations performed (efficiency metric)
     cost_evaluations: int = 0
     #: number of road-network nodes expanded by best-first search
@@ -83,69 +90,60 @@ class FoodGraph:
     #: left in its :class:`SettleMemo`, searching only past its end
     searches_reused: int = 0
 
-    def add_edge(self, batch_idx: int, vehicle_idx: int, weight: float,
-                 plan: RoutePlan | Callable[[], RoutePlan]) -> None:
-        """Insert (or replace) a finite edge."""
-        self.edges[(batch_idx, vehicle_idx)] = (weight, plan)
+    def _edges_at(self, batch_idx, vehicle_idx) -> np.ndarray:
+        """The edge of each ``(batch_idx[i], vehicle_idx[i])``, -1 where none."""
+        at = np.full((len(self.batches), len(self.vehicles)), -1, dtype=np.intp)
+        at[self.batch_idx, self.vehicle_idx] = np.arange(self.edge_count)
+        return at[batch_idx, vehicle_idx]
+
+    def _plan(self, edge: int) -> RoutePlan:
+        return self.plan_of[self.plan_round[edge]](self.plan_local[edge].item())
 
     def weight(self, batch_idx: int, vehicle_idx: int) -> float:
-        """Edge weight, Ω when the pair has no explicit edge."""
-        edge = self.edges.get((batch_idx, vehicle_idx))
-        return edge[0] if edge is not None else self.omega
+        """Edge weight, Ω when the pair has no edge."""
+        edge = self._edges_at(batch_idx, vehicle_idx)
+        return self.weights[edge].item() if edge >= 0 else self.omega
 
     def plan(self, batch_idx: int, vehicle_idx: int) -> RoutePlan | None:
-        """The edge's route plan (materialised on first read), ``None`` at Ω."""
-        edge = self.edges.get((batch_idx, vehicle_idx))
-        if edge is None:
-            return None
-        weight, plan = edge
-        if callable(plan):
-            plan = plan()
-            self.edges[(batch_idx, vehicle_idx)] = (weight, plan)
-        return plan
+        """The edge's route plan (built on first read), ``None`` at Ω."""
+        edge = self._edges_at(batch_idx, vehicle_idx)
+        return self._plan(edge) if edge >= 0 else None
 
     def cost_matrix(self) -> list[list[float]]:
         """Dense batch-by-vehicle cost matrix (diagnostics / reference solver).
 
-        The production matching path no longer materialises this — see
+        The production matching path never materialises this — see
         :func:`solve_matching` — but tests and the exactness benchmarks still
         compare against the dense formulation.
         """
-        return [[self.weight(b, v) for v in range(len(self.vehicles))]
-                for b in range(len(self.batches))]
+        matrix = np.full((len(self.batches), len(self.vehicles)), self.omega,
+                         dtype=np.float64)
+        matrix[self.batch_idx, self.vehicle_idx] = self.weights
+        return matrix.tolist()
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.weights)
 
     def vehicle_degree(self, vehicle_idx: int) -> int:
         """Number of finite-weight edges incident to a vehicle."""
-        return sum(v_idx == vehicle_idx for _, v_idx in self.edges)
+        return int(np.count_nonzero(self.vehicle_idx == vehicle_idx))
 
 
 def _evaluate_pairs(graph: FoodGraph, cost_model: CostModel, now: float,
                     b_idx: np.ndarray, v_idx: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                               list[Callable[[], RoutePlan]]]:
+                    ) -> tuple[np.ndarray, np.ndarray, Callable[[int], RoutePlan]]:
     """Marginal costs of the pairs ``(b_idx[i], v_idx[i])``, in one bulk call.
 
-    The pairs have passed the first-mile bound already.  Returns the pairs
-    that become edges (the others stay at Ω) — batch indices, vehicle
-    indices, weights, and each one's route plan on demand, as
-    :attr:`FoodGraph.edges` stores it.
+    The pairs have passed the first-mile bound already.  Returns the
+    indices ``i`` of the pairs that become edges (the others stay at Ω),
+    their weights, and the function building pair ``i``'s route plan on
+    demand (a :attr:`FoodGraph.plan_of` entry).
     """
     weights, plan_of = cost_model.marginal_costs(
         [batch.orders for batch in graph.batches], graph.vehicles, b_idx, v_idx, now)
     kept = np.flatnonzero(weights < graph.omega)
-    return (b_idx[kept], v_idx[kept], weights[kept],
-            list(map(functools.partial, itertools.repeat(plan_of), kept.tolist())))
-
-
-def _store_edges(graph: FoodGraph, b_idx: np.ndarray, v_idx: np.ndarray,
-                 weights: np.ndarray, plans: Sequence[Callable[[], RoutePlan]]) -> None:
-    """Insert what :func:`_evaluate_pairs` kept, in the order given."""
-    graph.edges.update(zip(zip(b_idx.tolist(), v_idx.tolist(), strict=True),
-                           zip(weights.tolist(), plans, strict=True), strict=True))
+    return kept, weights[kept], plan_of
 
 
 def build_full_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
@@ -168,9 +166,13 @@ def build_full_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
         first_miles = cost_model.distance_matrix(
             [vehicle.node for vehicle in graph.vehicles],
             [batch.first_pickup_node for batch in graph.batches], now)
-        # Batch-major, the order edges are inserted in.
+        # Batch-major, the order the edges are kept in.
         b_idx, v_idx = np.nonzero((first_miles <= max_first_mile).T)
-        _store_edges(graph, *_evaluate_pairs(graph, cost_model, now, b_idx, v_idx))
+        kept, graph.weights, plan_of = _evaluate_pairs(graph, cost_model, now,
+                                                       b_idx, v_idx)
+    graph.batch_idx, graph.vehicle_idx = b_idx[kept], v_idx[kept]
+    graph.plan_round, graph.plan_local = np.zeros_like(kept), kept
+    graph.plan_of = [plan_of]
     graph.cost_evaluations = len(graph.batches) * len(graph.vehicles)
     return graph
 
@@ -208,10 +210,11 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     had not stopped earlier, and after the bulk evaluation its exact degree
     decides, as it does in the loop, whether the search goes on from that
     very node.  The evaluated set, ``cost_evaluations`` and
-    ``nodes_expanded`` are therefore identical, and edges are inserted
-    vehicle by vehicle in discovery order once all rounds are done, which
-    is the loop's insertion order.  The loop itself is kept as a test
-    oracle (``tests/core/sequential_foodgraph.py``).
+    ``nodes_expanded`` are therefore identical.  Each round's pairs are
+    recorded as two index lists, not a tuple each, and once all rounds are
+    done the edge arrays are put vehicle by vehicle in discovery order,
+    which is the loop's insertion order.  The loop itself is kept as a
+    test oracle (``tests/core/sequential_foodgraph.py``).
     Exploration runs on the CSR adjacency
     (:class:`~repro.core.angular.VehicleSensitiveExplorer`) and the
     first-mile values come off the window's planning table.
@@ -245,16 +248,15 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
     if not graph.batches or not graph.vehicles:
         return graph
 
-    time_terms = coords = None
+    time_terms = geometry = None
     if use_angular:
-        csr = network.csr()
         time_terms = blended_time_terms(network, now)
-        coords = [network.coord(node) for node in csr.node_ids]
+        geometry = node_geometry(network)
 
     def explorer_for(vehicle: Vehicle):
         if time_terms is not None and vehicle.node in network.csr().index_of:
             return VehicleSensitiveExplorer(network, vehicle, now, gamma,
-                                            time_terms=time_terms, coords=coords)
+                                            time_terms=time_terms, geometry=geometry)
         # Plain travel-time ordering needs no per-edge callable (the CSR
         # array kernel inside BestFirstExplorer expands on static weights);
         # an angular search from a node the CSR does not know takes the
@@ -295,12 +297,14 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
         # how many nodes Alg. 2 has expanded for it.
         cursor = [0] * len(graph.vehicles)
         expanded = [0] * len(graph.vehicles)
-        # A vehicle's successful degree so far, and the edges of every round.
+        # A vehicle's successful degree so far, and the edges of every round:
+        # batch, vehicle, weight, round and index in the round's evaluation.
         degree = [0] * len(graph.vehicles)
-        found: list[tuple] = []
+        found: list[tuple[np.ndarray, ...]] = []
         while searching:
             graph.rounds += 1
-            pairs: list[tuple[int, int]] = []
+            pair_b: list[int] = []
+            pair_v: list[int] = []
             with tracer.span("foodgraph.explore"):
                 for v_idx, search in list(searching.items()):
                     near = within[v_idx]
@@ -319,7 +323,8 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                         graph.cost_evaluations += len(b_idxs)
                         for b_idx in b_idxs:
                             if near[b_idx]:
-                                pairs.append((b_idx, v_idx))
+                                pair_b.append(b_idx)
+                                pair_v.append(v_idx)
                                 hoped += 1
                         if hoped >= k or count >= expansion_cap:
                             expanded[v_idx] = count
@@ -328,21 +333,23 @@ def build_sparsified_foodgraph(batches: Sequence[Batch], vehicles: Sequence[Vehi
                             break
                     cursor[v_idx] = at
             with tracer.span("foodgraph.plan"):
-                discovered = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
-                edges = _evaluate_pairs(graph, cost_model, now,
-                                        discovered[:, 0], discovered[:, 1])
-            found.append(edges)
-            degree = (np.bincount(edges[1], minlength=len(degree)) + degree).tolist()
+                discovered_b = np.array(pair_b, dtype=np.intp)
+                discovered_v = np.array(pair_v, dtype=np.intp)
+                kept, weights, plan_of = _evaluate_pairs(graph, cost_model, now,
+                                                         discovered_b, discovered_v)
+            found.append((discovered_b[kept], discovered_v[kept], weights,
+                          np.full(len(kept), len(graph.plan_of)), kept))
+            graph.plan_of.append(plan_of)
+            degree = (np.bincount(discovered_v[kept], minlength=len(degree))
+                      + degree).tolist()
             for v_idx in [v_idx for v_idx in searching if degree[v_idx] >= k]:
                 del searching[v_idx]
     graph.nodes_expanded = sum(expanded)
     # Vehicle by vehicle, each one's edges in discovery order.
-    b_idx, v_idx, weights, plans = zip(*found, strict=True)
-    b_idx, v_idx, weights = map(np.concatenate, (b_idx, v_idx, weights))
-    plans = list(itertools.chain.from_iterable(plans))
-    by_vehicle = np.argsort(v_idx, kind="stable")
-    _store_edges(graph, b_idx[by_vehicle], v_idx[by_vehicle], weights[by_vehicle],
-                 [plans[i] for i in by_vehicle.tolist()])
+    columns = [np.concatenate(column) for column in zip(*found, strict=True)]
+    by_vehicle = np.argsort(columns[1], kind="stable")
+    (graph.batch_idx, graph.vehicle_idx, graph.weights, graph.plan_round,
+     graph.plan_local) = (column[by_vehicle] for column in columns)
     return graph
 
 
@@ -465,11 +472,12 @@ def solve_matching(graph: FoodGraph) -> list[tuple[int, int, RoutePlan, float]]:
     every matched pair whose weight is strictly below Ω — pairs matched only
     through the rejection penalty are treated as "leave unassigned".
 
-    The solve runs on the finite-edge subgraph only
+    The solve runs on the graph's edge arrays only
     (:func:`~repro.core.matching.sparse_minimum_weight_matching`): for a
     sparsified FoodGraph with degree bound ``k`` this avoids materialising
     the dense Ω-filled ``|B| x |V|`` matrix entirely, while provably
-    producing a matching with the same total cost.
+    producing a matching with the same total cost.  Only the matched
+    pairs' route plans are built.
 
     When a resilience ladder registry is active (``use_ladders``), the solve
     goes through it instead: the registry picks the backend rung, honours
@@ -477,23 +485,16 @@ def solve_matching(graph: FoodGraph) -> list[tuple[int, int, RoutePlan, float]]:
     """
     if not graph.batches or not graph.vehicles:
         return []
-    finite = {key: weight for key, (weight, _) in graph.edges.items()}
     ladders = current_ladders()
-    if ladders is not None:
-        pairs = ladders.solve_matching(len(graph.batches), len(graph.vehicles),
-                                       finite, graph.omega)
-    else:
-        pairs = sparse_minimum_weight_matching(len(graph.batches),
-                                               len(graph.vehicles),
-                                               finite, graph.omega)
-    assignments: list[tuple[int, int, RoutePlan, float]] = []
-    for b_idx, v_idx in pairs:
-        plan = graph.plan(b_idx, v_idx)
-        weight = graph.weight(b_idx, v_idx)
-        if plan is None or weight >= graph.omega:
-            continue
-        assignments.append((b_idx, v_idx, plan, weight))
-    return assignments
+    solve = (ladders.solve_matching if ladders is not None
+             else sparse_minimum_weight_matching)
+    pairs = solve(len(graph.batches), len(graph.vehicles), graph.batch_idx,
+                  graph.vehicle_idx, graph.weights, graph.omega)
+    edges = graph._edges_at(*np.array(pairs, dtype=np.intp).reshape(-1, 2).T).tolist()
+    return [(b_idx, v_idx, graph._plan(edge), weight)
+            for (b_idx, v_idx), edge, weight in zip(pairs, edges, graph.weights[edges].tolist(),
+                                                    strict=True)
+            if weight < graph.omega]
 
 
 __all__ = [

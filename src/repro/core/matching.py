@@ -12,7 +12,8 @@ extension of Bourgeois & Lassalle the paper cites) from scratch:
   and returns the matched ``(row, col)`` pairs.
 * :func:`sparse_minimum_weight_matching` — the sparsified-FoodGraph entry
   point: solves the "missing entries cost Ω" assignment problem on the
-  finite-edge subgraph only, never materialising the dense Ω-filled matrix.
+  finite-edge subgraph only, given as parallel ``(rows, cols, weights)``
+  edge arrays, never materialising the dense Ω-filled matrix.
 
 Backend selection happens at import time: when SciPy is importable, dense
 subproblems are handed to ``scipy.optimize.linear_sum_assignment`` (a C
@@ -29,6 +30,7 @@ import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 try:  # pragma: no cover - exercised via the backend-forcing tests
     from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
@@ -142,7 +144,7 @@ def hungarian(cost: Sequence[Sequence[float]]) -> list[int]:
     return assignment
 
 
-def greedy_assignment(matrix: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
+def greedy_assignment(matrix: Sequence[Sequence[float]] | np.ndarray) -> list[tuple[int, int]]:
     """Bounded-regret greedy assignment on a dense finite matrix.
 
     Takes cells in ascending weight order (ties broken by ``(row, col)`` so
@@ -151,16 +153,16 @@ def greedy_assignment(matrix: Sequence[Sequence[float]]) -> list[tuple[int, int]
     in ``O(R*C log(R*C))`` with no augmenting paths — the fast approximate
     rung of :data:`MATCHING_RUNGS`.
     """
-    if not matrix or not matrix[0]:
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.size == 0:
         return []
-    rows, cols = len(matrix), len(matrix[0])
-    cells = sorted((matrix[r][c], r, c)
-                   for r in range(rows) for c in range(cols))
+    rows, cols = matrix.shape
+    cells = np.divmod(np.argsort(matrix, axis=None, kind="stable"), cols)
     target = min(rows, cols)
     row_free = [True] * rows
     col_free = [True] * cols
     pairs: list[tuple[int, int]] = []
-    for _, r, c in cells:
+    for r, c in zip(*(side.tolist() for side in cells), strict=True):
         if row_free[r] and col_free[c]:
             row_free[r] = False
             col_free[c] = False
@@ -170,39 +172,35 @@ def greedy_assignment(matrix: Sequence[Sequence[float]]) -> list[tuple[int, int]
     return pairs
 
 
-def _solve_dense(matrix: list[list[float]],
-                 backend: str | None = None) -> list[tuple[int, int]]:
+def _solve_dense(matrix: np.ndarray, backend: str | None = None) -> list[tuple[int, int]]:
     """Solve a finite rectangular assignment problem, perfect on the smaller side.
 
     With ``backend=None`` (the default) dispatches to SciPy's
     ``linear_sum_assignment`` when it was importable, otherwise to the in-repo
-    :func:`hungarian` (transposing as required).  An explicit ``backend`` pins
-    one rung of :data:`MATCHING_RUNGS` and raises
+    :func:`hungarian` (transposing as required, on lists).  An explicit
+    ``backend`` pins one rung of :data:`MATCHING_RUNGS` and raises
     :class:`MatchingBackendUnavailable` if that rung cannot run.
     Returns ``(row, col)`` pairs.
     """
-    if not matrix or not matrix[0]:
+    if matrix.size == 0:
         return []
     if backend is not None and backend not in MATCHING_RUNGS:
         raise MatchingBackendUnavailable(f"unknown matching backend {backend!r}")
     if backend == "greedy_approx":
         return greedy_assignment(matrix)
-    use_scipy = (_linear_sum_assignment is not None if backend is None
-                 else backend == "scipy")
-    if use_scipy:
+    if backend == "scipy" or backend is None and _linear_sum_assignment is not None:
         if _linear_sum_assignment is None:
             raise MatchingBackendUnavailable("scipy backend requested but "
                                              "scipy.optimize is not importable")
-        row_ind, col_ind = _linear_sum_assignment(np.asarray(matrix, dtype=np.float64))
+        row_ind, col_ind = _linear_sum_assignment(matrix)
         return list(zip(row_ind.tolist(), col_ind.tolist(), strict=True))
-    rows, cols = len(matrix), len(matrix[0])
-    if rows > cols:
-        transposed = [[matrix[r][c] for r in range(rows)] for c in range(cols)]
-        return [(row, col) for col, row in enumerate(hungarian(transposed)) if row >= 0]
-    return [(row, col) for row, col in enumerate(hungarian(matrix)) if col >= 0]
+    if matrix.shape[0] > matrix.shape[1]:
+        return [(row, col) for col, row in enumerate(hungarian(matrix.T.tolist()))
+                if row >= 0]
+    return [(row, col) for row, col in enumerate(hungarian(matrix.tolist())) if col >= 0]
 
 
-def minimum_weight_matching(cost: Sequence[Sequence[float]],
+def minimum_weight_matching(cost: Sequence[Sequence[float]] | np.ndarray,
                             forbid_infinite: bool = True,
                             backend: str | None = None) -> list[tuple[int, int]]:
     """Minimum-weight matching of a rectangular cost matrix.
@@ -224,39 +222,28 @@ def minimum_weight_matching(cost: Sequence[Sequence[float]],
     -------
     list of ``(row, col)`` pairs, at most ``min(rows, cols)`` of them.
     """
-    rows = len(cost)
-    if rows == 0:
+    matrix = np.array(cost, dtype=np.float64)  # a ragged matrix raises here
+    if matrix.size == 0:
         return []
-    cols = len(cost[0])
-    if cols == 0:
-        return []
-    if any(len(row) != cols for row in cost):
+    if matrix.ndim != 2:
         raise ValueError("cost matrix must be rectangular")
-
-    def clean(value: float, row: int, col: int) -> float:
-        if value == INFINITY:
-            return _FORBIDDEN_COST
-        if value != value:  # NaN guard
-            raise MatchingError(
-                f"cost matrix contains NaN at (row {row}, col {col})",
-                row=row, col=col)
-        return float(value)
-
-    matrix = [[clean(cost[r][c], r, c) for c in range(cols)] for r in range(rows)]
-    pairs: list[tuple[int, int]] = []
-    for row, col in _solve_dense(matrix, backend=backend):
-        if forbid_infinite and cost[row][col] == INFINITY:
-            continue
-        pairs.append((row, col))
-    return pairs
+    nan = np.argwhere(np.isnan(matrix))
+    if len(nan):
+        row, col = nan[0].tolist()
+        raise MatchingError(f"cost matrix contains NaN at (row {row}, col {col})",
+                            row=row, col=col)
+    forbidden = matrix == INFINITY
+    matrix[forbidden] = _FORBIDDEN_COST
+    return [(row, col) for row, col in _solve_dense(matrix, backend=backend)
+            if not (forbid_infinite and forbidden[row, col])]
 
 
-def _greedy_sparse(edges: Mapping[tuple[int, int], float],
+def _greedy_sparse(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
                    omega: float) -> list[tuple[int, int]]:
     """Greedy rung for the sparse formulation: take finite edges in weight
     order while both endpoints are free.  Edges costing Ω or more are never
     taken (the Ω opt-out dominates them), matching the pairs the dense
-    formulation would drop anyway.  Runs directly on the edge dict —
+    formulation would drop anyway.  Runs directly on the edge arrays —
     ``O(E log E)`` with no dense reduction at all, which is where the
     degraded rung buys its latency back.
 
@@ -267,12 +254,16 @@ def _greedy_sparse(edges: Mapping[tuple[int, int], float],
     objective while staying ``O(U * k^2)`` for ``U`` stranded rows under a
     degree bound ``k`` — no full augmenting-path search.
     """
+    edges = dict(zip(zip(rows.tolist(), cols.tolist(), strict=True), weights.tolist(),
+                     strict=True))
+    # Ascending (weight, row, col), the edges costing Ω or more left out.
+    taken = np.flatnonzero(weights < omega)
+    taken = taken[np.lexsort((cols[taken], rows[taken], weights[taken]))]
     row_match: dict[int, int] = {}
     col_match: dict[int, int] = {}
     adjacency: dict[int, list[tuple[float, int]]] = {}
-    for weight, r, c in sorted((w, r, c) for (r, c), w in edges.items()):
-        if weight >= omega:
-            continue
+    for weight, r, c in zip(weights[taken].tolist(), rows[taken].tolist(),
+                            cols[taken].tolist(), strict=True):
         adjacency.setdefault(r, []).append((weight, c))
         if r in row_match or c in col_match:
             continue
@@ -357,66 +348,76 @@ def _improve_sparse(edges: Mapping[tuple[int, int], float], omega: float,
             break
 
 
+def _ranks(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(index, return_inverse=True)`` for indices in ``[0, size)``,
+    by a mask and a running count instead of a sort: a small window's
+    matching otherwise spends more on ``np.unique`` than on the solve."""
+    touched = np.zeros(size, dtype=bool)
+    touched[index] = True
+    return np.flatnonzero(touched), np.cumsum(touched)[index] - 1
+
+
 def sparse_minimum_weight_matching(num_rows: int, num_cols: int,
-                                   edges: Mapping[tuple[int, int], float],
-                                   omega: float,
+                                   rows: ArrayLike, cols: ArrayLike,
+                                   weights: ArrayLike, omega: float,
                                    backend: str | None = None) -> list[tuple[int, int]]:
     """Assignment on a sparse bipartite graph where missing pairs cost Ω.
 
-    Semantically identical to running :func:`minimum_weight_matching` on the
-    dense ``num_rows x num_cols`` matrix ``M[r, c] = edges.get((r, c), omega)``
-    and keeping only the matched pairs that are explicit edges — but without
-    ever materialising that matrix.  The reduction: rows (after transposing
-    so rows are the smaller side) that have no finite edge can only ever pay
-    Ω, so they are dropped up front; the rest are matched against the columns
-    actually touched by finite edges, plus one Ω-cost "opt-out" dummy column
-    for every *untouched* real column (capped at the row count — a dummy per
+    Edge ``i`` joins row ``rows[i]`` (in ``[0, num_rows)``) to column
+    ``cols[i]`` (in ``[0, num_cols)``) at ``weights[i]``, at most one edge
+    per cell, in any order: the result does not depend on it.  Semantically
+    identical to running :func:`minimum_weight_matching` on the dense
+    ``num_rows x num_cols`` matrix of the edge weights, Ω elsewhere, and
+    keeping only the matched pairs that are edges — but without ever
+    materialising that matrix.  The reduction: rows (after transposing so
+    rows are the smaller side) that have no edge can only ever pay Ω, so
+    they are dropped up front; the rest are matched against the columns
+    actually touched by edges, plus one Ω-cost "opt-out" dummy column for
+    every *untouched* real column (capped at the row count — a dummy per
     untouched column mirrors exactly the Ω-assignments the dense formulation
     offers, which matters when an explicit edge costs more than Ω and no
     spare column exists to escape to).  Matching a row to an untouched real
     column and matching it to a dummy both cost exactly Ω, so the reduced
     optimum equals the dense optimum, while the solver only sees an
     ``R' x (C' + min(R', num_cols - C'))`` matrix with ``R' <= number of
-    rows with edges`` and ``C' <= number of finite edges``.
+    rows with edges`` and ``C' <= number of edges``.
 
     For a sparsified FoodGraph with per-vehicle degree bound ``k`` this turns
     the per-window solve from ``O(B^2 V)`` on the Ω-filled matrix into a
     solve on the finite-edge subgraph only.
     """
-    if num_rows == 0 or num_cols == 0 or not edges:
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    weights = np.asarray(weights, dtype=np.float64)
+    if num_rows == 0 or num_cols == 0 or not len(weights):
         return []
-    for (r, c), weight in edges.items():
-        if weight != weight:  # NaN guard, before any transpose so the error
-            # names the caller's (batch, vehicle) cell, not a flipped one.
-            raise MatchingError(
-                f"cost matrix contains NaN at (batch {r}, vehicle {c})",
-                row=r, col=c)
+    nan = np.flatnonzero(np.isnan(weights))
+    if len(nan):  # before any transpose, so the error names the caller's
+        # (batch, vehicle) cell, not a flipped one
+        r, c = rows[nan[0]].item(), cols[nan[0]].item()
+        raise MatchingError(f"cost matrix contains NaN at (batch {r}, vehicle {c})",
+                            row=r, col=c)
     if backend == "greedy_approx":
-        return _greedy_sparse(edges, omega)
+        return _greedy_sparse(rows, cols, weights, omega)
     transposed = num_rows > num_cols
     if transposed:
-        num_rows, num_cols = num_cols, num_rows
-        edges = {(c, r): w for (r, c), w in edges.items()}
+        num_rows, num_cols, rows, cols = num_cols, num_rows, cols, rows
 
-    finite_rows = sorted({r for r, _ in edges})
-    finite_cols = sorted({c for _, c in edges})
-    row_pos = {r: i for i, r in enumerate(finite_rows)}
-    col_pos = {c: j for j, c in enumerate(finite_cols)}
+    finite_rows, row_pos = _ranks(rows, num_rows)
+    finite_cols, col_pos = _ranks(cols, num_cols)
     num_real = len(finite_cols)
     num_dummy = min(len(finite_rows), num_cols - num_real)
-    width = num_real + num_dummy
-    matrix = [[omega] * width for _ in finite_rows]
-    for (r, c), weight in edges.items():
-        matrix[row_pos[r]][col_pos[c]] = float(weight)
+    matrix = np.full((len(finite_rows), num_real + num_dummy), omega, dtype=np.float64)
+    matrix[row_pos, col_pos] = weights
+    is_edge = np.zeros((len(finite_rows), num_real), dtype=bool)
+    is_edge[row_pos, col_pos] = True
 
     pairs: list[tuple[int, int]] = []
     for i, j in _solve_dense(matrix, backend=backend):
-        if j >= num_real:
-            continue  # opt-out dummy: the row stays unassigned (Ω)
-        row, col = finite_rows[i], finite_cols[j]
-        if (row, col) not in edges:
-            continue
-        pairs.append((col, row) if transposed else (row, col))
+        # A dummy column is the opt-out: the row stays unassigned (Ω).
+        if j < num_real and is_edge[i, j]:
+            row, col = finite_rows[i].item(), finite_cols[j].item()
+            pairs.append((col, row) if transposed else (row, col))
     return pairs
 
 
@@ -427,16 +428,20 @@ def matching_cost(cost: Sequence[Sequence[float]],
 
 
 def sparse_matching_objective(num_rows: int, num_cols: int,
-                              edges: Mapping[tuple[int, int], float],
-                              omega: float,
+                              rows: ArrayLike, cols: ArrayLike,
+                              weights: ArrayLike, omega: float,
                               pairs: Sequence[tuple[int, int]]) -> float:
     """Objective value of a sparse matching under the Ω-filled formulation.
 
     Every one of the ``min(num_rows, num_cols)`` potential assignments that a
-    matching leaves unmade pays Ω, so exact and approximate rungs compare on
-    the same scale (helper for the resilience quality counters and tests).
+    matching (of edges) leaves unmade pays Ω, so exact and approximate rungs
+    compare on the same scale (helper for the resilience quality counters
+    and tests).
     """
-    total = sum(edges[pair] for pair in pairs)
+    keys = np.asarray(rows, dtype=np.intp) * num_cols + np.asarray(cols, dtype=np.intp)
+    order = np.argsort(keys)
+    matched = order[np.searchsorted(keys, [r * num_cols + c for r, c in pairs], sorter=order)]
+    total = sum(np.asarray(weights, dtype=np.float64)[matched].tolist())
     return total + omega * (min(num_rows, num_cols) - len(pairs))
 
 

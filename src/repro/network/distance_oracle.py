@@ -426,13 +426,12 @@ class DistanceOracle:
         began = perf_counter() if ladders is not None else 0.0
         key = (source, target)
         cache = self._point_cache
-        if rung == _APPROX and key not in cache:
+        value = cache.get(key)  # on any rung, an exact answer already paid for wins
+        if value is None and rung == _APPROX:
             value = self._approximate(ladders, [source], [target])[0]
-        else:  # on any rung, an exact answer already paid for wins
-            value = cache.get(key)
-            if value is None:
-                value = self._exact_distance(rung, source, target)
-                cache.put(key, value)
+        elif value is None:
+            value = self._exact_distance(rung, source, target)
+            cache.put(key, value)
         if ladders is not None:
             ladders.record_path(rung, perf_counter() - began)
         return value

@@ -33,7 +33,9 @@ case.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.core.matching import (
     MATCHING_RUNGS,
@@ -228,8 +230,8 @@ class LadderRegistry:
                 ladder.mark_available(rung)
 
     # -- matching -------------------------------------------------------- #
-    def solve_matching(self, num_rows: int, num_cols: int,
-                       edges: Mapping[tuple[int, int], float],
+    def solve_matching(self, num_rows: int, num_cols: int, rows: np.ndarray,
+                       cols: np.ndarray, weights: np.ndarray,
                        omega: float) -> list[tuple[int, int]]:
         """Ladder-aware :func:`sparse_minimum_weight_matching`.
 
@@ -250,7 +252,7 @@ class LadderRegistry:
                     injector.sleep("matching", rung)
                     injector.check_raise("matching", rung)
                 pairs = sparse_minimum_weight_matching(
-                    num_rows, num_cols, edges, omega, backend=rung)
+                    num_rows, num_cols, rows, cols, weights, omega, backend=rung)
             except MatchingError:
                 raise
             except Exception as exc:
@@ -262,27 +264,25 @@ class LadderRegistry:
                     raise
                 continue
             ladder.record(rung, time.perf_counter() - began)
-            if rung != ladder.rungs[0] and edges \
+            if rung != ladder.rungs[0] and len(weights) \
                     and (ladder.calls[rung] - 1) % self.quality_sample_every == 0:
-                self._sample_matching_quality(num_rows, num_cols, edges,
-                                              omega, pairs)
+                self._sample_matching_quality(num_rows, num_cols, rows, cols,
+                                              weights, omega, pairs)
             return pairs
 
     def _sample_matching_quality(self, num_rows: int, num_cols: int,
-                                 edges: Mapping[tuple[int, int], float],
-                                 omega: float,
+                                 rows: np.ndarray, cols: np.ndarray,
+                                 weights: np.ndarray, omega: float,
                                  pairs: Sequence[tuple[int, int]]) -> None:
         """Shadow-solve exactly (outside the timed region) and compare."""
+        instance = (num_rows, num_cols, rows, cols, weights, omega)
         try:
-            exact = sparse_minimum_weight_matching(num_rows, num_cols,
-                                                   edges, omega)
+            exact = sparse_minimum_weight_matching(*instance)
         except Exception:  # the exact backend is the one that is degraded
             return
         self.matching_quality_samples += 1
-        self.matching_exact_objective += sparse_matching_objective(
-            num_rows, num_cols, edges, omega, exact)
-        self.matching_actual_objective += sparse_matching_objective(
-            num_rows, num_cols, edges, omega, pairs)
+        self.matching_exact_objective += sparse_matching_objective(*instance, exact)
+        self.matching_actual_objective += sparse_matching_objective(*instance, pairs)
 
     # -- shortest paths -------------------------------------------------- #
     def path_rung(self, oracle) -> str:

@@ -9,12 +9,15 @@ pairs, the edges in insertion order, ``cost_evaluations`` and
 ``nodes_expanded`` must be those of the plain loop below — one dict-based
 best-first search per vehicle, one first-mile point query and one
 :meth:`CostModel.marginal_cost` per discovered pair, stop at degree ``k``.
+The loop keeps its edges in a dict of its own (:class:`SequentialGraph`);
+:func:`edges_in_order` reads either graph's edges in insertion order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from repro.core.angular import vehicle_sensitive_weight
 from repro.core.foodgraph import DEFAULT_MAX_FIRST_MILE, DEFAULT_OMEGA, FoodGraph
@@ -23,6 +26,35 @@ from repro.orders.batch import Batch
 from repro.orders.costs import CostModel
 from repro.orders.route_plan import RoutePlan
 from repro.orders.vehicle import Vehicle
+
+
+@dataclass
+class SequentialGraph:
+    """The loop's FoodGraph: ``edges[(batch_idx, vehicle_idx)] = (weight, plan)``."""
+
+    batches: list[Batch]
+    vehicles: list[Vehicle]
+    omega: float
+    edges: dict[tuple[int, int], tuple[float, RoutePlan]] = field(default_factory=dict)
+    cost_evaluations: int = 0
+    nodes_expanded: int = 0
+    searches: int = 0
+
+    def plan(self, batch_idx: int, vehicle_idx: int) -> RoutePlan | None:
+        edge = self.edges.get((batch_idx, vehicle_idx))
+        return edge[1] if edge is not None else None
+
+    def vehicle_degree(self, vehicle_idx: int) -> int:
+        return sum(v_idx == vehicle_idx for _, v_idx in self.edges)
+
+
+def edges_in_order(graph: FoodGraph | SequentialGraph,
+                   ) -> list[tuple[tuple[int, int], float]]:
+    """``((batch_idx, vehicle_idx), weight)`` of every edge, as inserted."""
+    if isinstance(graph, SequentialGraph):
+        return [(key, weight) for key, (weight, _) in graph.edges.items()]
+    return list(zip(zip(graph.batch_idx.tolist(), graph.vehicle_idx.tolist(), strict=True),
+                    graph.weights.tolist(), strict=True))
 
 
 def pair_weight(batch: Batch, vehicle: Vehicle, cost_model: CostModel, now: float,
@@ -42,9 +74,9 @@ def build_sequentially(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
                        omega: float = DEFAULT_OMEGA,
                        max_first_mile: float = DEFAULT_MAX_FIRST_MILE,
                        use_angular: bool = False, gamma: float = 0.5,
-                       max_expansions: int | None = None) -> FoodGraph:
+                       max_expansions: int | None = None) -> SequentialGraph:
     """The sparsified FoodGraph, vehicle by vehicle and pair by pair."""
-    graph = FoodGraph(list(batches), list(vehicles), omega=omega)
+    graph = SequentialGraph(list(batches), list(vehicles), omega=omega)
     network = cost_model.oracle.network
     start_index: dict[int, list[int]] = {}
     for b_idx, batch in enumerate(graph.batches):
@@ -66,7 +98,7 @@ def build_sequentially(batches: Sequence[Batch], vehicles: Sequence[Vehicle],
                                            now, graph.omega, max_first_mile)
                 graph.cost_evaluations += 1
                 if plan is not None and weight < graph.omega:
-                    graph.add_edge(b_idx, v_idx, weight, plan)
+                    graph.edges[(b_idx, v_idx)] = (weight, plan)
                     degree += 1
             if degree >= k or expanded >= expansion_cap:
                 break

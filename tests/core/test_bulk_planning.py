@@ -51,7 +51,7 @@ from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.route_plan import best_route_plan, insertion_route_plan
 from repro.orders.vehicle import Vehicle
-from sequential_foodgraph import build_sequentially
+from sequential_foodgraph import build_sequentially, edges_in_order
 
 NOW = 45_000.0
 
@@ -121,9 +121,9 @@ def _search_key(vehicle: Vehicle, use_angular: bool):
 def _edges_in_order(graph):
     """Edges as inserted: key, weight and the plan's stops and evaluation."""
     out = []
-    for (b_idx, v_idx), (weight, _) in graph.edges.items():
-        plan = graph.plan(b_idx, v_idx)
-        out.append(((b_idx, v_idx), weight, plan.stops, plan.evaluation))
+    for key, weight in edges_in_order(graph):
+        plan = graph.plan(*key)
+        out.append((key, weight, plan.stops, plan.evaluation))
     return out
 
 

@@ -1,15 +1,22 @@
 """Tests for FoodGraph construction (full and sparsified) and matching."""
 
+import gc
 
+import numpy as np
 import pytest
 
 from repro.core.foodgraph import (
+    FoodGraph,
     build_full_foodgraph,
     build_sparsified_foodgraph,
     solve_matching,
 )
+from repro.network.distance_oracle import DistanceOracle
+from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.vehicle import Vehicle
+from repro.workload.city import CITY_B
+from repro.workload.generator import generate_scenario
 
 
 def grid_order(order_id, restaurant, customer, prep=0.0):
@@ -90,7 +97,8 @@ class TestSparsifiedFoodGraph:
         graph = build_sparsified_foodgraph(sample_batches, sample_vehicles, cost_model,
                                            0.0, k=k)
         oracle = cost_model.oracle
-        for (b_idx, v_idx), (_weight, _) in graph.edges.items():
+        for b_idx, v_idx in zip(graph.batch_idx.tolist(), graph.vehicle_idx.tolist(),
+                                strict=True):
             vehicle = sample_vehicles[v_idx]
             distances = sorted(
                 oracle.distance(vehicle.node, batch.first_pickup_node, 0.0)
@@ -124,34 +132,55 @@ class TestSparsifiedFoodGraph:
         assert graph.nodes_expanded == len(sample_vehicles)
 
 
-class TestVehicleDegreeMaintenance:
-    def test_add_edge_and_direct_mutation_interleaved(self):
-        from repro.core.foodgraph import FoodGraph
+class TestVehicleDegree:
+    @staticmethod
+    def graph(*edges):
+        """A FoodGraph over four batches and four vehicles with these edges."""
+        pairs = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+        return FoodGraph([None] * 4, [None] * 4, omega=1.0, batch_idx=pairs[:, 0],
+                         vehicle_idx=pairs[:, 1], weights=np.full(len(edges), 0.5))
 
-        graph = FoodGraph([], [], omega=1.0)
-        graph.edges[(0, 0)] = (0.5, None)  # legacy direct-dict idiom
-        graph.add_edge(1, 0, 0.6, None)
-        assert graph.vehicle_degree(0) == 2
-        graph.edges.pop((0, 0))
-        assert graph.vehicle_degree(0) == 1
+    def test_counts_only_the_vehicles_own_edges(self):
+        graph = self.graph((0, 0), (1, 0), (2, 1))
+        assert [graph.vehicle_degree(v) for v in range(4)] == [2, 1, 0, 0]
+        assert graph.edge_count == 3
 
-    def test_length_preserving_direct_edit(self):
-        from repro.core.foodgraph import FoodGraph
+    def test_same_edge_count_different_vehicle(self):
+        # Two graphs of one edge each: the degree follows the edge, not the
+        # number of edges.
+        assert self.graph((0, 0)).vehicle_degree(0) == 1
+        moved = self.graph((2, 2))
+        assert moved.vehicle_degree(0) == 0
+        assert moved.vehicle_degree(2) == 1
+        assert self.graph().vehicle_degree(0) == 0
 
-        graph = FoodGraph([], [], omega=1.0)
-        graph.add_edge(0, 0, 0.5, None)
-        graph.edges.pop((0, 0))
-        graph.edges[(2, 2)] = (0.4, None)  # same length, different vehicle
-        assert graph.vehicle_degree(0) == 0
-        assert graph.vehicle_degree(2) == 1
+    def test_builders_give_each_pair_at_most_one_edge(self, cost_model, sample_batches,
+                                                      sample_vehicles):
+        # A pair is one edge, so a degree is a number of distinct batches.
+        for graph in (build_full_foodgraph(sample_batches, sample_vehicles,
+                                           cost_model, 0.0),
+                      build_sparsified_foodgraph(sample_batches, sample_vehicles,
+                                                 cost_model, 0.0, k=2)):
+            pairs = set(zip(graph.batch_idx.tolist(), graph.vehicle_idx.tolist(),
+                            strict=True))
+            assert len(pairs) == graph.edge_count
+            for v_idx in range(len(sample_vehicles)):
+                assert graph.vehicle_degree(v_idx) == len(
+                    {b for b, v in pairs if v == v_idx})
 
-    def test_replacing_an_edge_does_not_double_count(self):
-        from repro.core.foodgraph import FoodGraph
-
-        graph = FoodGraph([], [], omega=1.0)
-        graph.add_edge(0, 3, 0.5, None)
-        graph.add_edge(0, 3, 0.4, None)
-        assert graph.vehicle_degree(3) == 1
+    def test_weight_and_plan_read_the_arrays(self, cost_model, sample_batches,
+                                             sample_vehicles):
+        graph = build_full_foodgraph(sample_batches, sample_vehicles, cost_model, 0.0)
+        matrix = graph.cost_matrix()
+        for b_idx, v_idx, weight in zip(graph.batch_idx.tolist(),
+                                        graph.vehicle_idx.tolist(),
+                                        graph.weights.tolist(), strict=True):
+            assert graph.weight(b_idx, v_idx) == weight == matrix[b_idx][v_idx]
+            _, plan = cost_model.marginal_cost(sample_batches[b_idx].orders,
+                                               sample_vehicles[v_idx], 0.0)
+            assert graph.plan(b_idx, v_idx).stops == plan.stops
+        assert self.graph((0, 0)).weight(1, 1) == 1.0
+        assert self.graph((0, 0)).plan(1, 1) is None
 
 
 class TestSolveMatching:
@@ -186,3 +215,43 @@ class TestSolveMatching:
     def test_empty_graph(self, cost_model):
         graph = build_full_foodgraph([], [], cost_model, 0.0)
         assert solve_matching(graph) == []
+
+
+class TestNoObjectPerEdge:
+    """A window's edges stay arrays from discovery to matching.
+
+    Nearly every vehicle of a CityB window gets an edge to every batch, so
+    anything a build keeps per edge outnumbers what it keeps per vehicle,
+    batch and match many times over.  The objects the cyclic collector
+    tracks that outlive a build and its matching are counted with the
+    collector off, so none is freed before it is counted.
+    """
+
+    def test_surviving_objects_do_not_grow_with_the_edges(self):
+        scenario = generate_scenario(CITY_B.scaled(0.5), seed=1, start_hour=12,
+                                     end_hour=13)
+        model = CostModel(DistanceOracle(scenario.network))
+        now = 12 * 3600.0 + 600.0
+        orders = scenario.orders_between(12 * 3600.0, now)
+        batches = model.make_batches([[order] for order in orders], now)
+        vehicles = scenario.fresh_vehicles()
+
+        def window():
+            graph = build_sparsified_foodgraph(batches, vehicles, model, now,
+                                               k=len(batches), use_angular=True)
+            return graph, solve_matching(graph)
+
+        window()  # lazily built network and oracle state is not the window's
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            graph, matches = window()
+        finally:
+            gc.enable()
+        gc.collect()
+        survivors = len(gc.get_objects()) - before
+        assert graph.edge_count >= 10 * (len(vehicles) + len(batches))
+        assert matches
+        assert survivors <= 3 * (len(vehicles) + len(batches) + len(matches)), \
+            (survivors, graph.edge_count)

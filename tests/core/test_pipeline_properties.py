@@ -28,6 +28,7 @@ from repro.network.graph import TimeProfile
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.vehicle import Vehicle
+from sequential_foodgraph import edges_in_order
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +89,10 @@ def test_sparsified_graph_is_subgraph_of_full(pipeline_model, seed, k):
     batches, _ = cluster_orders(orders, pipeline_model, 400.0, BatchingConfig())
     sparsified = build_sparsified_foodgraph(batches, vehicles, pipeline_model, 400.0, k=k)
     full = build_full_foodgraph(batches, vehicles, pipeline_model, 400.0)
-    for (b_idx, v_idx), (weight, _) in sparsified.edges.items():
-        assert (b_idx, v_idx) in full.edges
-        assert weight == pytest.approx(full.edges[(b_idx, v_idx)][0])
+    full_edges = dict(edges_in_order(full))
+    for key, weight in edges_in_order(sparsified):
+        assert key in full_edges
+        assert weight == pytest.approx(full_edges[key])
     assert sparsified.edge_count <= full.edge_count
 
 

@@ -31,6 +31,7 @@ from repro.network.graph import TimeProfile
 from repro.orders.costs import CostModel
 from repro.orders.order import Order
 from repro.orders.vehicle import Vehicle
+from sequential_foodgraph import edges_in_order
 
 #: 11:50; under ``urban_peaks`` the multiplier steps from 1.0 to 1.35 at noon.
 MORNING = 42_600.0
@@ -91,9 +92,9 @@ class _Fleet:
 def _edges_in_order(graph):
     """Edges as inserted: key, weight and the plan's stops and evaluation."""
     out = []
-    for (b_idx, v_idx), (weight, _) in graph.edges.items():
-        plan = graph.plan(b_idx, v_idx)
-        out.append(((b_idx, v_idx), weight, plan.stops, plan.evaluation))
+    for key, weight in edges_in_order(graph):
+        plan = graph.plan(*key)
+        out.append((key, weight, plan.stops, plan.evaluation))
     return out
 
 

@@ -18,7 +18,8 @@ from repro.core.matching import (
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.resilience.ladder import LadderRegistry
 
-EDGES = {(0, 0): 1.0, (0, 1): 4.0, (1, 0): 4.0, (1, 1): 2.0}
+#: A 2x2 instance as ``(rows, cols, weights)`` edge arrays.
+EDGES = ([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 4.0, 4.0, 2.0])
 
 requires_scipy = pytest.mark.skipif(
     matching._linear_sum_assignment is None,
@@ -58,7 +59,7 @@ class TestBackendAvailability:
 class TestLadderSelection:
     def test_hungarian_selected_when_scipy_missing(self, no_scipy):
         registry = LadderRegistry()
-        pairs = registry.solve_matching(2, 2, EDGES, 10.0)
+        pairs = registry.solve_matching(2, 2, *EDGES, 10.0)
         assert sorted(pairs) == [(0, 0), (1, 1)]
         assert registry.matching.current == "hungarian"
         assert registry.matching.demotions == 1
@@ -73,7 +74,7 @@ class TestLadderSelection:
         injector = FaultInjector(plan)
         injector.advance(0.0)
         registry = LadderRegistry(injector=injector)
-        pairs = registry.solve_matching(2, 2, EDGES, 10.0)
+        pairs = registry.solve_matching(2, 2, *EDGES, 10.0)
         assert sorted(pairs) == [(0, 0), (1, 1)]
         assert registry.matching.current == "greedy_approx"
         assert registry.matching.demotions == 1  # one two-rung transition
@@ -81,13 +82,13 @@ class TestLadderSelection:
     @requires_scipy
     def test_recovery_when_scipy_returns(self, monkeypatch):
         registry = LadderRegistry()
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching.current == "scipy"
         monkeypatch.setattr(matching, "_linear_sum_assignment", None)
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching.current == "hungarian"
         monkeypatch.undo()
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching.current == "scipy"
         assert registry.matching.demotions == 1
         assert registry.matching.recoveries == 1
@@ -96,6 +97,6 @@ class TestLadderSelection:
         # hungarian must reproduce scipy's optimum bit for bit; sparse
         # greedy happens to as well on this instance.
         for backend in (None, "hungarian", "greedy_approx"):
-            pairs = sparse_minimum_weight_matching(2, 2, EDGES, 10.0,
+            pairs = sparse_minimum_weight_matching(2, 2, *EDGES, 10.0,
                                                    backend=backend)
             assert sorted(pairs) == [(0, 0), (1, 1)], backend

@@ -15,7 +15,8 @@ from repro.resilience import current_ladders, use_ladders
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.resilience.ladder import BackendLadder, LadderRegistry
 
-EDGES = {(0, 0): 1.0, (0, 1): 4.0, (1, 0): 4.0, (1, 1): 2.0}
+#: A 2x2 instance as ``(rows, cols, weights)`` edge arrays.
+EDGES = ([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 4.0, 4.0, 2.0])
 
 #: Registry tests that assert the top rung is *selected* need the real
 #: scipy backend importable (the CI no-scipy job runs without it).
@@ -91,15 +92,15 @@ class TestLadderRegistry:
     @requires_scipy
     def test_solve_matching_top_rung(self):
         registry = LadderRegistry()
-        pairs = registry.solve_matching(2, 2, EDGES, 10.0)
+        pairs = registry.solve_matching(2, 2, *EDGES, 10.0)
         assert sorted(pairs) == [(0, 0), (1, 1)]
         assert registry.matching.calls["scipy"] == 1
 
     def test_matching_error_not_retried(self):
         registry = LadderRegistry()
-        bad = {(0, 0): float("nan")}
+        bad = ([0], [0], [float("nan")])
         with pytest.raises(MatchingError, match=r"batch 0, vehicle 0"):
-            registry.solve_matching(1, 1, bad, 10.0)
+            registry.solve_matching(1, 1, *bad, 10.0)
         # No rung was burned: the input was the problem.
         assert registry.matching.failures["scipy"] == 0
 
@@ -110,13 +111,13 @@ class TestLadderRegistry:
         injector = FaultInjector(plan)
         injector.advance(0.0)
         registry = LadderRegistry(injector=injector)
-        pairs = registry.solve_matching(2, 2, EDGES, 10.0)
+        pairs = registry.solve_matching(2, 2, *EDGES, 10.0)
         assert sorted(pairs) == [(0, 0), (1, 1)]
         assert registry.matching.current == "hungarian"
         assert registry.matching.failures["scipy"] == 1
         # The failure sticks: the next call degrades at selection time
         # instead of paying another exception.
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching.failures["scipy"] == 1
 
     @requires_scipy
@@ -126,17 +127,17 @@ class TestLadderRegistry:
         injector = FaultInjector(plan)
         injector.advance(0.0)
         registry = LadderRegistry(injector=injector)
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching.current == "hungarian"
         injector.advance(100.0)  # the fault window closed
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching.current == "scipy"
         assert registry.matching.recoveries == 1
 
     def test_quality_sampling_on_degraded_rung(self):
         registry = LadderRegistry(matching_start="greedy_approx",
                                   quality_sample_every=1)
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         assert registry.matching_quality_samples == 1
         # Greedy finds the optimal matching on this instance.
         assert registry.matching_quality_delta_pct == pytest.approx(0.0)
@@ -144,7 +145,7 @@ class TestLadderRegistry:
     @requires_scipy
     def test_snapshot_shape(self):
         registry = LadderRegistry()
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         snap = registry.snapshot()
         assert snap["matching"]["current"] == "scipy"
         assert snap["matching"]["calls"]["scipy"] == 1
@@ -156,7 +157,7 @@ class TestLadderRegistry:
         from repro.obs.metrics import MetricsRegistry
 
         registry = LadderRegistry()
-        registry.solve_matching(2, 2, EDGES, 10.0)
+        registry.solve_matching(2, 2, *EDGES, 10.0)
         metrics = MetricsRegistry()
         registry.fold_into(metrics)
         registry.fold_into(metrics)

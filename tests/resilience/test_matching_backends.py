@@ -11,6 +11,11 @@ from repro.core.matching import (
 )
 
 
+def arrays(edges):
+    """``{(row, col): weight}`` as the ``(rows, cols, weights)`` edge arrays."""
+    return [r for r, _ in edges], [c for _, c in edges], list(edges.values())
+
+
 class TestMatchingErrorCells:
     def test_dense_nan_names_the_cell(self):
         cost = [[1.0, 2.0], [3.0, float("nan")]]
@@ -23,7 +28,7 @@ class TestMatchingErrorCells:
         edges = {(0, 0): 1.0, (2, 5): float("nan")}
         with pytest.raises(MatchingError,
                            match=r"batch 2, vehicle 5") as info:
-            sparse_minimum_weight_matching(3, 6, edges, 10.0)
+            sparse_minimum_weight_matching(3, 6, *arrays(edges), 10.0)
         assert info.value.row == 2
         assert info.value.col == 5
 
@@ -67,15 +72,15 @@ class TestGreedyAssignment:
         # The only edge is costlier than the unmatched penalty: greedy must
         # leave it unmatched, exactly like the dense Ω formulation would.
         edges = {(0, 0): 50.0}
-        pairs = sparse_minimum_weight_matching(1, 1, edges, 10.0,
+        pairs = sparse_minimum_weight_matching(1, 1, *arrays(edges), 10.0,
                                                backend="greedy_approx")
         assert pairs == []
 
     def test_sparse_greedy_matches_exact_on_easy_instance(self):
         edges = {(0, 1): 1.0, (1, 0): 1.0, (0, 0): 5.0, (1, 1): 5.0}
-        greedy = sparse_minimum_weight_matching(2, 2, edges, 10.0,
+        greedy = sparse_minimum_weight_matching(2, 2, *arrays(edges), 10.0,
                                                 backend="greedy_approx")
-        exact = sparse_minimum_weight_matching(2, 2, edges, 10.0)
+        exact = sparse_minimum_weight_matching(2, 2, *arrays(edges), 10.0)
         assert sorted(greedy) == sorted(exact) == [(0, 1), (1, 0)]
 
 
@@ -83,21 +88,21 @@ class TestSparseObjective:
     def test_counts_unmatched_penalty(self):
         edges = {(0, 0): 3.0}
         # Two potential assignments, one made: objective = 3 + Ω.
-        assert sparse_matching_objective(2, 2, edges, 10.0, [(0, 0)]) == 13.0
+        assert sparse_matching_objective(2, 2, *arrays(edges), 10.0, [(0, 0)]) == 13.0
 
     def test_empty_matching_pays_full_penalty(self):
-        assert sparse_matching_objective(3, 2, {}, 10.0, []) == 20.0
+        assert sparse_matching_objective(3, 2, *arrays({}), 10.0, []) == 20.0
 
     def test_exact_never_worse_than_greedy(self):
         # Objective parity: both rungs scored on the same Ω-filled scale.
         edges = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 8.0}
-        exact = sparse_minimum_weight_matching(2, 2, edges, 100.0)
-        greedy = sparse_minimum_weight_matching(2, 2, edges, 100.0,
+        exact = sparse_minimum_weight_matching(2, 2, *arrays(edges), 100.0)
+        greedy = sparse_minimum_weight_matching(2, 2, *arrays(edges), 100.0,
                                                 backend="greedy_approx")
-        exact_obj = sparse_matching_objective(2, 2, edges, 100.0, exact)
-        greedy_obj = sparse_matching_objective(2, 2, edges, 100.0, greedy)
+        exact_obj = sparse_matching_objective(2, 2, *arrays(edges), 100.0, exact)
+        greedy_obj = sparse_matching_objective(2, 2, *arrays(edges), 100.0, greedy)
         assert exact_obj <= greedy_obj
 
     def test_fully_matched_pays_no_penalty(self):
         edges = {(0, 0): 1.0}
-        assert sparse_matching_objective(1, 1, edges, 10.0, [(0, 0)]) == 1.0
+        assert sparse_matching_objective(1, 1, *arrays(edges), 10.0, [(0, 0)]) == 1.0
