@@ -1,6 +1,6 @@
 """City-scale benchmark for the PR 6 kernels (``BENCH_PR6.json``).
 
-Measures the three PR 6 kernels on a metro-grid city (50k+ nodes in full
+Measures two PR 6 kernels on a metro-grid city (50k+ nodes in full
 mode, a 5k-node grid for the CI smoke gate):
 
 * **hub_label_build** — contraction-ordered hierarchy build
@@ -12,15 +12,10 @@ mode, a 5k-node grid for the CI smoke gate):
   :meth:`DistanceOracle.apply_traffic_updates` (exact affected sets +
   pruned label repair) vs a from-scratch index rebuild, plus the
   post-repair batched-query latency relative to a fresh build.
-* **shared_memory** — N concurrently attached workers reading one
-  :func:`~repro.network.shared.pack_network` segment vs N workers
-  materialising private copies; reports summed proportional-set-size
-  (PSS) deltas from ``/proc/self/smaps_rollup``, which split shared pages
-  across mappers — the honest "memory per extra worker" figure.
 
 Exactness is asserted before any timing: the contraction index is checked
-against Dijkstra ground truth, repaired labels against a from-scratch
-rebuild, and every shared-memory worker's query block against the owner's.
+against Dijkstra ground truth and repaired labels against a from-scratch
+rebuild.
 
 Run::
 
@@ -32,9 +27,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import pathlib
-import pickle
 import random
 import time
 
@@ -44,7 +37,6 @@ from repro.network.distance_oracle import DistanceOracle, _changed_nodes
 from repro.network.generators import metro_grid
 from repro.network.graph import TimeProfile
 from repro.network.hub_labeling import HubLabelIndex
-from repro.network.shared import attach_network, pack_network
 from repro.network.shortest_path import (
     _csr_dijkstra_all,
     dijkstra_all,
@@ -193,124 +185,22 @@ def bench_pruned_repair(rows: int, cols: int, repeats: int,
     }
 
 
-def _pss_bytes() -> int:
-    with open("/proc/self/smaps_rollup", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("Pss:"):
-                return int(line.split()[1]) * 1024
-    return 0
-
-
-def _shm_worker(mode: str, payload, sources, targets, expected,
-                barrier, queue) -> None:
-    import numpy as np
-    # Workers are spawned, not forked: a forked child COW-copies parent
-    # pages just by touching inherited refcounts, which buries the
-    # segment-sized signal under megabytes of noise.  A spawned worker owns
-    # only its interpreter, and the baseline below excludes even that.
-    barrier.wait()
-    before = _pss_bytes()
-    if mode == "shared":
-        _, attached_index = attach_network(payload)
-        got = attached_index.query_block(sources, targets)
-    else:
-        _, copied_index = pickle.loads(payload)
-        got = copied_index.query_block(sources, targets)
-    assert np.array_equal(got, expected)  # exactness in every worker
-    barrier.wait()  # all workers mapped concurrently: PSS splits shared pages
-    queue.put(_pss_bytes() - before)
-    barrier.wait()  # hold the mapping until every sibling has measured
-
-
-def _measure_workers(mode: str, payload, sources, targets, expected,
-                     jobs: int) -> int:
-    ctx = multiprocessing.get_context("spawn")
-    barrier = ctx.Barrier(jobs + 1)
-    queue = ctx.Queue()
-    workers = [ctx.Process(target=_shm_worker,
-                           args=(mode, payload, sources, targets, expected,
-                                 barrier, queue))
-               for _ in range(jobs)]
-    for worker in workers:
-        worker.start()
-    barrier.wait()  # all alive: baselines are stable
-    barrier.wait()  # all mapped and measured
-    total = sum(queue.get() for _ in workers)
-    barrier.wait()
-    for worker in workers:
-        worker.join()
-        assert worker.exitcode == 0, f"{mode} worker failed"
-    return total
-
-
-def bench_shared_memory(rows: int, cols: int,
-                        jobs_list: tuple[int, ...] = (1, 2, 4)) -> dict:
-    network = _metro(rows, cols)
-    index = HubLabelIndex(network)
-    rng = random.Random(8)
-    sources = rng.sample(network.nodes, 30)
-    targets = rng.sample(network.nodes, 30)
-    expected = index.query_block(sources, targets)
-    blob = pickle.dumps((network, index))
-
-    pack = pack_network(network, index)
-    per_jobs = {}
-    try:
-        for jobs in jobs_list:
-            shared = _measure_workers("shared", pack.name, sources, targets,
-                                      expected, jobs)
-            copied = _measure_workers("copied", blob, sources, targets,
-                                      expected, jobs)
-            per_jobs[str(jobs)] = {
-                "shared_pss_delta_bytes": shared,
-                "copied_pss_delta_bytes": copied,
-            }
-        segment_bytes = pack.size
-    finally:
-        pack.dispose()
-
-    low, high = str(jobs_list[0]), str(jobs_list[-1])
-    shared_scaling = (per_jobs[high]["shared_pss_delta_bytes"]
-                      / max(1, per_jobs[low]["shared_pss_delta_bytes"]))
-    memory_ratio = (per_jobs[high]["copied_pss_delta_bytes"]
-                    / max(1, per_jobs[high]["shared_pss_delta_bytes"]))
-    return {
-        "workload": (f"{jobs_list[-1]} workers attaching one shared segment vs "
-                     f"private per-worker copies "
-                     f"({network.num_nodes}-node metro grid)"),
-        "graph": graph_info(network, index),
-        "segment_bytes": segment_bytes,
-        "per_jobs": per_jobs,
-        # Total worker memory growing sublinearly in N is the point of the
-        # shared segment: shared pages divide across mappers, copies do not.
-        "shared_scaling": shared_scaling,
-        "memory_ratio": memory_ratio,
-        # Speedup here is a memory ratio, kept under the common key so the
-        # bench report loop prints something meaningful.
-        "new_ops_per_sec": 1.0,
-        "seed_ops_per_sec": 1.0 / max(memory_ratio, 1e-9),
-        "speedup": memory_ratio,
-    }
-
-
 def run(smoke: bool = False, out_path: pathlib.Path = DEFAULT_OUT) -> dict:
     if smoke:
         results = {
             "hub_label_build": bench_hub_label_build(rows=71, cols=71, repeats=2),
             "pruned_repair": bench_pruned_repair(rows=71, cols=71, repeats=2,
                                                  num_edges=3),
-            "shared_memory": bench_shared_memory(rows=50, cols=50),
         }
     else:
         results = {
             "hub_label_build": bench_hub_label_build(rows=226, cols=226, repeats=1),
             "pruned_repair": bench_pruned_repair(rows=226, cols=226, repeats=1,
                                                  num_edges=4),
-            "shared_memory": bench_shared_memory(rows=120, cols=120),
         }
     return write_bench_json(
         out_path, "PR6 city-scale kernels: contraction-ordered hub labels, "
-        "pruned incremental repair, shared-memory CSR", smoke, results)
+        "pruned incremental repair", smoke, results)
 
 
 def main() -> None:

@@ -20,8 +20,7 @@ public API is organised by layer:
 * :mod:`repro.experiments` — runners, parameter sweeps and per-figure
   reproduction harnesses.
 * :mod:`repro.service` — the engine rehosted as an always-on asyncio
-  dispatch service: clock drivers, checkpoint/restore, multi-city shard
-  pool and backpressure.
+  dispatch service: clock drivers, checkpoint/restore and backpressure.
 
 Quickstart::
 

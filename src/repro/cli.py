@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--faults", default=None, metavar="PLAN",
                          help="fault-injection plan: JSON text or a path to a "
                               "JSON file of fault specs (kernel slowdowns, "
-                              "backend errors, worker kills); seeded and "
-                              "deterministic (default: none)")
+                              "backend errors); seeded and deterministic "
+                              "(default: none)")
 
     simulate = subparsers.add_parser("simulate", help="run one policy on one city")
     add_setting_arguments(simulate)
@@ -315,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
+    # The setting carries the fault plan as text, parsed only when a run
+    # starts; parse it now so that a bad plan is a one-line usage error.
+    _resilience_from_args(args)
     return ExperimentSetting(
         profile=CITY_PROFILES[args.city],
         scale=args.scale,
@@ -478,7 +481,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.experiments.executor import result_fingerprint
-    from repro.experiments.runner import materialize
+    from repro.experiments.runner import materialize, setting_config
     from repro.service import (
         DispatchService,
         WallClock,
@@ -486,7 +489,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         remaining_orders,
         replay_orders_wall,
         serve_recorded,
-        setting_config,
     )
 
     backpressure = _backpressure_from_args(args)
@@ -548,8 +550,8 @@ def _command_loadgen(args: argparse.Namespace) -> int:
     import time
 
     from repro.experiments.executor import result_fingerprint
-    from repro.experiments.runner import materialize
-    from repro.service import DispatchService, serve_recorded, setting_config
+    from repro.experiments.runner import materialize, setting_config
+    from repro.service import DispatchService, serve_recorded
 
     backpressure = _backpressure_from_args(args)
     setting = _setting_from_args(args)

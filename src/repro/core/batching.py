@@ -178,6 +178,8 @@ def _cluster(orders: list[Order], cost_model: CostModel, now: float,
         batches[merged_key] = merged_of(i)
         stats.merges += 1
         stats.avg_cost_trace.append(_average_cost(batches))
+        if stats.avg_cost_trace[-1] > config.eta:
+            break  # η stop: the merged batch's edges would never be read
         push_edges([(merged_key, other_key) for other_key in others])
 
     stats.final_batches = len(batches)

@@ -50,10 +50,11 @@ class FoodMatchConfig:
         Weighting factor γ between angular distance and travel time (Eq. 8;
         default 0.5).
     k:
-        Explicit per-vehicle degree bound in the sparsified FoodGraph.  When
-        ``None`` the bound is derived from ``k_ratio_factor`` as
-        ``k_ratio_factor * |O(l)| / |V(l)|`` (the paper uses a factor of 200),
-        clamped to ``[k_min, number of batches]``.
+        Explicit per-vehicle degree bound in the sparsified FoodGraph,
+        clamped to ``[1, number of batches]``.  When ``None`` the bound is
+        derived from ``k_ratio_factor`` as ``k_ratio_factor * |O(l)| /
+        |V(l)|`` (the paper uses a factor of 200), clamped to ``[k_min,
+        number of batches]``.
     k_ratio_factor, k_min:
         See ``k``.
     omega:
@@ -193,10 +194,9 @@ class FoodMatchPolicy(AssignmentPolicy):
         """The per-vehicle degree bound k of Alg. 2 (Sec. V-B parameterisation)."""
         cfg = self.config
         if cfg.k is not None:
-            k = cfg.k
-        else:
-            ratio = num_orders / max(1, num_vehicles)
-            k = int(math.ceil(cfg.k_ratio_factor * ratio))
+            return max(1, min(cfg.k, num_batches))
+        ratio = num_orders / max(1, num_vehicles)
+        k = int(math.ceil(cfg.k_ratio_factor * ratio))
         return max(cfg.k_min, min(k, max(1, num_batches)))
 
 

@@ -16,20 +16,14 @@ replays a traffic timeline.  ``--jobs 4`` output is therefore equal, order
 included, to ``--jobs 1`` — asserted by the golden tests and by the
 end-to-end benchmark before any timing runs.
 
-**Cheap network sharing.**  The immutable heavy artifacts (CSR adjacency,
-hub-label arrays, generated scenario) are never serialized per cell.
-Workers resolve each cell's city profile by *name* against
+**Workers inherit the built world.**  The immutable heavy artifacts (CSR
+adjacency, hub-label arrays, generated scenario) are never serialized per
+cell.  Workers resolve each cell's city profile by *name* against
 :data:`PROFILE_REGISTRY` and rebuild the scenario once per distinct setting
 through the runner's scenario cache, which lives for the whole life of the
 worker process.  Under the default ``fork`` start method, registered
 profiles (and any already-materialised scenarios) are inherited from the
-parent for free.  For metro-scale cities, ``run_cells(...,
-share_networks=True)`` goes further: the driver packs each distinct
-network's CSR arrays and hub labels into one
-:mod:`multiprocessing.shared_memory` block (:mod:`repro.network.shared`)
-and workers attach it read-only, so N workers hold one machine-wide copy
-of the heavy arrays no matter how they were spawned or how long they
-live.
+parent copy-on-write.
 
 **Failure isolation.**  A cell that raises reports its traceback in its
 :class:`CellResult`; the remaining cells keep running.  Callers that want
@@ -202,8 +196,8 @@ def _run_cell(setting: ExperimentSetting, spec: PolicySpec) -> SimulationResult:
     return run_setting(setting, spec)
 
 
-def _worker_init(registry: dict[str, str]) -> None:
-    """Pool initializer: default ``SIGTERM``, then the shared-memory registry.
+def _worker_init() -> None:
+    """Pool initializer: workers take ``SIGTERM``'s default action.
 
     A CLI driver turns ``SIGTERM`` into an exception (``cli.GracefulExit``),
     and a fork'd worker inherits the handler.  ``Pool.terminate()`` stops its
@@ -211,24 +205,9 @@ def _worker_init(registry: dict[str, str]) -> None:
     last result raises the exception inside the pool's own ``except
     Exception`` around that send, which swallows it, and the driver joins a
     worker that never dies (seen as a tier-1 run hanging in ``compare
-    --jobs 2``, about one run in 25).  Workers take the signal's default
-    action.
-
-    For shared-memory sweeps ``registry`` is the driver's ``profile name ->
-    shared segment`` map: it is installed in the worker's runner module and
-    any fork-inherited scenario-cache entries for those profiles are
-    evicted, so the worker's first :func:`materialize` of each setting
-    attaches the packed arrays instead of reusing (or rebuilding) a private
-    copy.
+    --jobs 2``, about one run in 25).
     """
-    from repro.experiments import runner
-
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    runner._ATTACH_REGISTRY.clear()
-    runner._ATTACH_REGISTRY.update(registry)
-    stale = [key for key in runner._SCENARIO_CACHE if key[0] in registry]
-    for key in stale:
-        del runner._SCENARIO_CACHE[key]
 
 
 def _worker_run(payload: _CellPayload) -> tuple[int, SimulationResult | None,
@@ -271,8 +250,7 @@ def _log_cell(outcome: CellResult, done: int, total: int) -> None:
 
 
 def run_cells(cells: Sequence[ExperimentCell], jobs: int | None = None,
-              on_result: ProgressCallback | None = None,
-              share_networks: bool = False) -> list[CellResult]:
+              on_result: ProgressCallback | None = None) -> list[CellResult]:
     """Run every cell and return their results in cell order.
 
     ``jobs=1`` (the default) runs serially in the calling process against
@@ -282,16 +260,6 @@ def run_cells(cells: Sequence[ExperimentCell], jobs: int | None = None,
     returned list is always in submission order.  Cell failures are
     isolated: the failing cell carries its traceback, the rest of the grid
     is unaffected.
-
-    ``share_networks=True`` packs each distinct city network (CSR arrays
-    plus hub labels, which a city profile determines independently of
-    scale/seed) into one :mod:`multiprocessing.shared_memory` block before
-    the pool starts; workers attach the block read-only instead of
-    rebuilding their own copies, so an N-worker metro-scale sweep holds one
-    copy of the heavy arrays machine-wide.  Results stay bit-identical —
-    attached views answer every query with the same floats as owned ones.
-    Ignored on the serial path.  The blocks are unlinked when the pool
-    finishes.
     """
     cells = list(cells)
     jobs = resolve_jobs(jobs)
@@ -313,78 +281,29 @@ def run_cells(cells: Sequence[ExperimentCell], jobs: int | None = None,
         # Make every profile resolvable inside the workers.  Registrations
         # made here are inherited by fork'd children created below.
         register_profile(cell.setting.profile)
-    packs, registry = _pack_shared_networks(cells) if share_networks else ([], {})
     payloads = [_cell_payload(index, cell) for index, cell in enumerate(cells)]
     slots: list[CellResult | None] = [None] * total
-    context = _pool_context()
-    try:
-        with context.Pool(processes=min(jobs, total), initializer=_worker_init,
-                          initargs=(registry,)) as pool:
-            done = 0
-            for index, result, error in pool.imap_unordered(_worker_run, payloads):
-                outcome = CellResult(cells[index], result=result, error=error)
-                slots[index] = outcome
-                done += 1
-                _log_cell(outcome, done, total)
-                if on_result is not None:
-                    on_result(outcome, done, total)
-    finally:
-        for pack in packs:
-            pack.dispose()
+    with _pool_context().Pool(processes=min(jobs, total),
+                              initializer=_worker_init) as pool:
+        done = 0
+        for index, result, error in pool.imap_unordered(_worker_run, payloads):
+            outcome = CellResult(cells[index], result=result, error=error)
+            slots[index] = outcome
+            done += 1
+            _log_cell(outcome, done, total)
+            if on_result is not None:
+                on_result(outcome, done, total)
     assert all(slot is not None for slot in slots)
     return [slot for slot in slots if slot is not None]
 
 
-def _pack_shared_networks(cells: Sequence[ExperimentCell]):
-    """Pack each distinct profile's network (and hub labels) into shared memory.
-
-    Builds the network exactly as a worker's :func:`materialize` would
-    (``profile.network_factory()``; hub labels for networks at or above the
-    oracle's auto threshold) so attached workers see bit-identical arrays.
-    Returns the owner pack handles plus the ``profile name -> segment
-    name`` registry for the pool initializer.
-    """
-    from repro.network.distance_oracle import DistanceOracle
-    from repro.network.hub_labeling import HubLabelIndex
-    from repro.network.shared import pack_network
-
-    packs = []
-    registry: dict[str, str] = {}
-    try:
-        for cell in cells:
-            profile = cell.setting.profile
-            if profile.name in registry:
-                continue
-            network = profile.network_factory()
-            index = (HubLabelIndex(network)
-                     if network.num_nodes >= DistanceOracle._AUTO_THRESHOLD
-                     else None)
-            pack = pack_network(network, index)
-            packs.append(pack)
-            registry[profile.name] = pack.name
-    except BaseException:
-        for pack in packs:
-            pack.dispose()
-        raise
-    return packs, registry
-
-
-def pool_context():
+def _pool_context():
     """Prefer ``fork`` (cheap inheritance of registered profiles and any
-    already-built scenarios); fall back to the platform default elsewhere.
-
-    Public because the dispatch service's resident shard pool
-    (:mod:`repro.service.shards`) spawns its long-lived per-city workers
-    through the same context the sweep executor uses.
-    """
+    already-built scenarios); fall back to the platform default elsewhere."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-#: Backwards-compatible private alias.
-_pool_context = pool_context
 
 
 # --------------------------------------------------------------------------- #
@@ -457,7 +376,6 @@ __all__ = [
     "set_default_jobs",
     "resolve_jobs",
     "replicate_cells",
-    "pool_context",
     "run_cells",
     "merge_cell_traces",
     "result_fingerprint",

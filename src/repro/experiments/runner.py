@@ -102,7 +102,7 @@ class ExperimentSetting:
     faults:
         Fault plan for :class:`~repro.resilience.FaultInjector` as JSON
         text or a file path (kept as a string so the setting stays
-        hashable and picklable for shard workers).
+        hashable and picklable for executor workers).
     """
 
     profile: CityProfile
@@ -166,13 +166,6 @@ def build_policy(name: str, cost_model: CostModel, **options) -> AssignmentPolic
 # --------------------------------------------------------------------------- #
 _SCENARIO_CACHE: dict[tuple, tuple[Scenario, DistanceOracle]] = {}
 
-#: Profile name -> shared-memory segment name.  Populated inside executor
-#: workers (pool initializer) when the driver packed the city networks with
-#: :func:`repro.network.shared.pack_network`; :func:`materialize` then
-#: attaches the packed CSR and hub-label arrays instead of rebuilding them.
-_ATTACH_REGISTRY: dict[str, str] = {}
-
-
 def _setting_key(setting: ExperimentSetting) -> tuple:
     # Deliberately excludes the run-time knobs (repair_fraction,
     # event_resolution, and the resilience fields) — they change how a run
@@ -184,18 +177,7 @@ def _setting_key(setting: ExperimentSetting) -> tuple:
 
 
 def materialize(setting: ExperimentSetting) -> tuple[Scenario, DistanceOracle]:
-    """Build (or fetch from cache) the scenario and distance oracle of a setting.
-
-    When the setting's profile is registered in :data:`_ATTACH_REGISTRY`,
-    the road network and hub-label index attach to the driver's packed
-    shared-memory block instead of being rebuilt: every distinct setting
-    still gets its *own* :class:`AttachedRoadNetwork
-    <repro.network.shared.AttachedRoadNetwork>` and
-    :class:`~repro.network.hub_labeling.HubLabelIndex` views (traffic
-    overrides and label repairs must not leak between cached settings), but
-    all of them map the same physical pages, so the heavy arrays exist once
-    per machine rather than once per worker.
-    """
+    """Build (or fetch from cache) the scenario and distance oracle of a setting."""
     key = _setting_key(setting)
     cached = _SCENARIO_CACHE.get(key)
     if cached is not None:
@@ -204,15 +186,6 @@ def materialize(setting: ExperimentSetting) -> tuple[Scenario, DistanceOracle]:
     if setting.vehicle_fraction != 1.0:
         reduced = max(1, round(profile.num_vehicles * setting.vehicle_fraction))
         profile = profile.with_vehicles(reduced)
-    network = None
-    hub_index = None
-    shm_name = _ATTACH_REGISTRY.get(setting.profile.name)
-    if shm_name is not None:
-        from repro.network.shared import attach_network
-
-        network, hub_index = attach_network(shm_name)
-        _log.debug("attached shared network %s for profile %s",
-                   shm_name, setting.profile.name)
     _log.debug("materialising %s scale=%s hours=%d-%d seed=%d traffic=%s "
                "fleet=%s", setting.profile.name, setting.scale,
                setting.start_hour, setting.end_hour, setting.seed,
@@ -221,9 +194,8 @@ def materialize(setting: ExperimentSetting) -> tuple[Scenario, DistanceOracle]:
                                  start_hour=setting.start_hour,
                                  end_hour=setting.end_hour,
                                  traffic=setting.traffic,
-                                 fleet=setting.fleet,
-                                 network=network)
-    oracle = DistanceOracle(scenario.network, hub_index=hub_index)
+                                 fleet=setting.fleet)
+    oracle = DistanceOracle(scenario.network)
     # Build the labels here, so no caller's timer pays for the first build.
     oracle.refresh()
     _SCENARIO_CACHE[key] = (scenario, oracle)
@@ -238,6 +210,17 @@ def clear_cache() -> None:
 # --------------------------------------------------------------------------- #
 # running
 # --------------------------------------------------------------------------- #
+def setting_config(setting: ExperimentSetting) -> SimulationConfig:
+    """The :class:`SimulationConfig` a setting's run derives: its window
+    length, simulated hours and event resolution."""
+    return SimulationConfig(
+        delta=setting.resolved_delta(),
+        start=setting.start_hour * SECONDS_PER_HOUR,
+        end=setting.end_hour * SECONDS_PER_HOUR,
+        event_resolution=setting.event_resolution,
+    )
+
+
 def run_setting(setting: ExperimentSetting, policy_spec: PolicySpec,
                 ) -> SimulationResult:
     """Run one policy on one materialised setting and return its result."""
@@ -251,12 +234,6 @@ def run_setting(setting: ExperimentSetting, policy_spec: PolicySpec,
         oracle.__dict__.pop("repair_fraction", None)
     cost_model = CostModel(oracle)
     policy = build_policy(policy_spec.name, cost_model, **policy_spec.options_dict())
-    config = SimulationConfig(
-        delta=setting.resolved_delta(),
-        start=setting.start_hour * SECONDS_PER_HOUR,
-        end=setting.end_hour * SECONDS_PER_HOUR,
-        event_resolution=setting.event_resolution,
-    )
     resilience = build_resilience(
         matching_backend=setting.matching_backend,
         path_backend=setting.path_backend,
@@ -264,7 +241,7 @@ def run_setting(setting: ExperimentSetting, policy_spec: PolicySpec,
         faults=setting.faults,
         seed=setting.seed,
     )
-    return simulate(scenario, policy, cost_model, config,
+    return simulate(scenario, policy, cost_model, setting_config(setting),
                     resilience=resilience)
 
 
@@ -339,6 +316,7 @@ __all__ = [
     "build_policy",
     "materialize",
     "clear_cache",
+    "setting_config",
     "run_setting",
     "run_averaged",
     "run_policy_comparison",

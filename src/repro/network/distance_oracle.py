@@ -249,9 +249,9 @@ class DistanceOracle:
     hub_index:
         A prebuilt :class:`~repro.network.hub_labeling.HubLabelIndex` over
         ``network`` to adopt instead of building one (forces the
-        ``"hub_label"`` backend).  The shared-memory attach path uses this
-        to hand a worker the packed label arrays zero-copy.  Without one,
-        the ``"hub_label"`` backend builds its index at the first read (see
+        ``"hub_label"`` backend), so a caller that already built labels over
+        ``network`` does not pay for a second build.  Without one, the
+        ``"hub_label"`` backend builds its index at the first read (see
         :meth:`refresh`), not here.
     """
 
@@ -824,9 +824,7 @@ class DistanceOracle:
         work.  Touched ones drop their queued label work and restore the
         snapshot at O(1) cost — the flat label arrays are captured and
         reinstated by reference (repairs write overlays and merges allocate
-        fresh arrays, so snapshotted arrays are never mutated), which also
-        means resetting a shared-memory-attached index never copies the
-        shared label block.  An oracle whose pristine labels were never
+        fresh arrays, so snapshotted arrays are never mutated).  An oracle whose pristine labels were never
         built (its first update decided a rebuild) queues the pristine
         build again instead — bit-identical, and paid only if read.
         """

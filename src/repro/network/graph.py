@@ -116,9 +116,8 @@ class CSRAdjacency:
     several times faster than on numpy scalars) are exposed.  The list views
     are materialised lazily on first access: batched kernels never touch
     them, and on a metro-scale graph the three lists triple the per-process
-    adjacency footprint — an N-worker sweep over shared-memory CSR arrays
-    (see :mod:`repro.network.shared`) should only pay for them in workers
-    that actually run scalar Dijkstras.
+    adjacency footprint, which only processes that run scalar Dijkstras
+    should pay.
     """
 
     __slots__ = ("node_ids", "index_of", "indptr", "indices", "weights",

@@ -55,13 +55,11 @@ Storage layout (the perf-critical part):
   node's label list is born sorted — no post-sort is needed.
 * Labels live in flat CSR-style numpy parallel arrays (``indptr`` plus
   concatenated ranks/distances) that power the vectorised :meth:`query_many`
-  / :meth:`query_block` kernels and can be placed in (or attached from)
-  shared memory — see :mod:`repro.network.shared` and :meth:`from_arrays`.
+  / :meth:`query_block` kernels.
 * :meth:`repair` writes per-node *patch overlays* instead of rewriting the
   arrays; overlays are merged into fresh arrays lazily on the next batched
   query.  Scalar queries read overlay-or-slice, snapshots are O(1) array
-  references, and shared-memory attached arrays are never copied or
-  mutated in place.
+  references, and the flat arrays are never mutated in place.
 * Construction runs pruned Dijkstra on the network's CSR adjacency with
   preallocated, timestamp-versioned distance buffers, and answers pruning
   queries through a dense scratch array indexed by hub rank — no dict
@@ -152,7 +150,6 @@ class HubLabelIndex:
         self._index_of = csr.index_of
         self._num_nodes = csr.num_nodes
         self._identity_ids = csr.node_ids == list(range(csr.num_nodes))
-        self._attached = False
         #: what this build did: contraction witness searches and the nodes
         #: they settled, shortcuts inserted, hierarchy levels derived
         self.build_work = dict.fromkeys(BUILD_WORK_COUNTERS, 0)
@@ -476,57 +473,6 @@ class HubLabelIndex:
         self._arange_buf = np.empty(0, dtype=np.int64)
         return levels
 
-    # ------------------------------------------------------------------ #
-    # shared-memory attach
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_arrays(cls, network: RoadNetwork, order: Sequence[int],
-                    out_indptr: np.ndarray, out_ranks: np.ndarray,
-                    out_dists: np.ndarray, in_indptr: np.ndarray,
-                    in_ranks: np.ndarray, in_dists: np.ndarray) -> HubLabelIndex:
-        """Wrap prebuilt label arrays (typically shared-memory views).
-
-        The arrays must be exactly the finalized layout this class produces:
-        indptr of length ``num_nodes + 2`` (sentinel slot included) plus the
-        concatenated rank/distance arrays.  The index never writes to them —
-        repairs go to the patch overlay and merges allocate fresh private
-        arrays — so read-only views from
-        :mod:`multiprocessing.shared_memory` are fine and stay shared across
-        attaching processes.
-        """
-        self = cls.__new__(cls)
-        self._network = network
-        csr = network.csr()
-        self._index_of = csr.index_of
-        self._num_nodes = csr.num_nodes
-        self._identity_ids = csr.node_ids == list(range(csr.num_nodes))
-        self._order = list(order)
-        self._rank_of = {
-            self._index_of[hub_id]: rank for rank, hub_id in enumerate(self._order)
-            if hub_id in self._index_of}
-        if len(out_indptr) != self._num_nodes + 2:
-            raise ValueError("out_indptr must include the sentinel slot "
-                             f"(expected {self._num_nodes + 2} entries, "
-                             f"got {len(out_indptr)})")
-        self._attached = True
-        self.build_work = dict.fromkeys(BUILD_WORK_COUNTERS, 0)
-        self._out_indptr = out_indptr
-        self._out_rank_arr = out_ranks
-        self._out_dist_arr = out_dists
-        self._in_indptr = in_indptr
-        self._in_rank_arr = in_ranks
-        self._in_dist_arr = in_dists
-        self._patches_out = {}
-        self._patches_in = {}
-        self._dirty = False
-        self._arange_buf = np.empty(0, dtype=np.int64)
-        return self
-
-    @property
-    def attached(self) -> bool:
-        """Whether the label arrays were attached rather than built here."""
-        return self._attached
-
     @property
     def hub_order(self) -> list[int]:
         """The hub processing order (node ids, most important first)."""
@@ -554,8 +500,8 @@ class HubLabelIndex:
     def _ensure_arrays(self) -> None:
         """Merge repair overlays into fresh flat arrays (if any are pending).
 
-        Existing arrays are never mutated — snapshots and shared-memory
-        views keep their exact contents — and unpatched spans are copied in
+        Existing arrays are never mutated — snapshots keep their exact
+        contents — and unpatched spans are copied in
         bulk, so a merge is O(total entries) numpy work plus O(patched
         nodes) Python work.
         """
@@ -766,8 +712,7 @@ class HubLabelIndex:
         The flat arrays are captured by reference — they are immutable
         (repairs write overlays, merges allocate fresh arrays) — so a
         snapshot costs six references plus a shallow copy of the (typically
-        empty) patch overlays.  Shared-memory attached labels are never
-        copied.  The hub order is included so a snapshot can be restored
+        empty) patch overlays.  The hub order is included so a snapshot can be restored
         onto an index that was since rebuilt under a different
         (override-laden) weight configuration.
         """

@@ -18,7 +18,6 @@ latencies.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 #: Default histogram range: 1 µs .. 10^5 s covers every latency this code
 #: base produces, from a single hub-label query to a full campaign.
@@ -275,48 +274,5 @@ class NullRegistry:
 NULL_REGISTRY = NullRegistry()
 
 
-# --------------------------------------------------------------------------- #
-# snapshot merging (multi-shard fleet reports)
-# --------------------------------------------------------------------------- #
-def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Fold several :meth:`MetricsRegistry.snapshot` dicts into one.
-
-    The dispatch service's shard pool collects one snapshot per resident
-    worker and reports fleet-wide figures: counters **sum**, gauges keep the
-    **max** (they report footprints — index bytes, cache sizes — where the
-    fleet-wide figure of interest is the largest shard), and histogram
-    digests combine count/sum/min/max exactly while the quantiles become
-    count-weighted averages of the per-shard quantiles — approximate, since
-    a summary no longer carries bucket counts, but within one bucket width
-    of the true pooled value when the shards' distributions overlap, which
-    is all the fleet report claims.
-    """
-    merged: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0.0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            current = merged["gauges"].get(name)
-            merged["gauges"][name] = value if current is None else max(current, value)
-        for name, digest in snapshot.get("histograms", {}).items():
-            into = merged["histograms"].get(name)
-            if into is None:
-                merged["histograms"][name] = dict(digest)
-                continue
-            count = into["count"] + digest["count"]
-            if count == 0:
-                continue
-            for quantile in ("p50", "p90", "p99"):
-                into[quantile] = ((into[quantile] * into["count"]
-                                   + digest[quantile] * digest["count"]) / count)
-            into["min"] = min(into["min"], digest["min"]) if into["count"] and digest["count"] \
-                else (digest["min"] if digest["count"] else into["min"])
-            into["max"] = max(into["max"], digest["max"])
-            into["sum"] = into["sum"] + digest["sum"]
-            into["count"] = count
-            into["mean"] = into["sum"] / count
-    return merged
-
-
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NullRegistry", "NULL_REGISTRY", "merge_snapshots"]
+           "NullRegistry", "NULL_REGISTRY"]

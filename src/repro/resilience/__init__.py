@@ -7,7 +7,7 @@ critical kernel sits on a *backend ladder* — matching on
 controller* walks those ladders against a per-window latency budget,
 recording the quality each demotion gives up next to the latency it buys
 back.  A seeded *fault-injection harness* (kernel slowdowns, backends that
-vanish or raise, shard-worker kills) makes the whole degrade/recover cycle
+vanish or raise) makes the whole degrade/recover cycle
 deterministically testable.
 
 The composition rule with the dispatch service's backpressure (PR 8) is

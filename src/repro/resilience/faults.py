@@ -1,9 +1,9 @@
 """Seeded, scenario-declarable fault injection for resilience testing.
 
 Production failure modes don't wait for production: this module lets tests,
-benchmarks and the CLI declare deterministic faults — kernel slowdowns,
-backends that vanish or start raising, shard workers that die — and have the
-harness trip them at exact simulated times.  A :class:`FaultPlan` is a list
+benchmarks and the CLI declare deterministic faults — kernel slowdowns and
+backends that vanish or start raising — and have the harness trip them at
+exact simulated times.  A :class:`FaultPlan` is a list
 of :class:`FaultSpec` entries; the :class:`FaultInjector` owns the plan at
 run time, activating and deactivating specs as the simulation clock passes
 their windows.
@@ -20,10 +20,6 @@ Fault kinds
     selection time (as if its import had failed); ``mode="raise"`` lets the
     rung be selected and then raises :class:`InjectedFault` mid-call, so the
     ladder's failure path (mark unavailable, retry next rung) is exercised.
-``kill_worker``
-    Kill the resident shard-pool worker process named by ``target`` (once
-    per activation), exercising the dead-worker detection and lossless
-    restart in :class:`repro.service.shards.ShardPool`.
 
 Plans parse from JSON (inline text or a file path) so ``--faults`` can take
 either; everything is frozen and seeded, so a faulted run is reproducible
@@ -39,10 +35,9 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-FAULT_KINDS = ("slowdown", "backend_error", "kill_worker")
+FAULT_KINDS = ("slowdown", "backend_error")
 
-#: Valid ``target`` values for backend faults (``kill_worker`` targets are
-#: shard names and are not validated here).
+#: Valid ``target`` values: the ladder a fault acts on.
 _BACKEND_TARGETS = ("matching", "path")
 
 
@@ -56,7 +51,7 @@ class FaultSpec:
 
     ``start``/``end`` are simulated seconds-of-day bounding the active
     window (``end`` defaults to "forever").  ``target`` is ``"matching"`` or
-    ``"path"`` for backend faults, a shard/city name for ``kill_worker``.
+    ``"path"``.
     ``rung`` scopes slowdowns and errors to one ladder rung (``None`` = all
     rungs of the target ladder).
     """
@@ -74,8 +69,7 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"expected one of {FAULT_KINDS}")
-        if self.kind in ("slowdown", "backend_error") \
-                and self.target not in _BACKEND_TARGETS:
+        if self.target not in _BACKEND_TARGETS:
             raise ValueError(f"{self.kind} fault target must be one of "
                              f"{_BACKEND_TARGETS}, got {self.target!r}")
         if self.mode not in ("import", "raise"):
@@ -143,9 +137,8 @@ class FaultInjector:
     """Trips the declared faults as simulated time advances.
 
     The engine calls :meth:`advance` at the top of every window; kernels ask
-    :meth:`slowdown_seconds` / :meth:`rung_blocked` at call time; the shard
-    pool drains :meth:`pending_worker_kills`.  Jitter draws from a private
-    seeded stream so faulted runs replay identically.
+    :meth:`slowdown_seconds` / :meth:`rung_blocked` at call time.  Jitter
+    draws from a private seeded stream so faulted runs replay identically.
     """
 
     def __init__(self, plan: FaultPlan | None = None, seed: int = 0) -> None:
@@ -153,8 +146,6 @@ class FaultInjector:
         self._rng = random.Random(seed ^ 0x5EEDFA17)
         self._now = -math.inf
         self._active: list[FaultSpec] = []
-        self._fired_kills: set[int] = set()
-        self._pending_kills: list[str] = []
         self.trips = 0
 
     @property
@@ -165,11 +156,6 @@ class FaultInjector:
         """Move the fault clock to ``now``, (de)activating specs."""
         self._now = now
         self._active = [spec for spec in self.plan.specs if spec.active_at(now)]
-        for i, spec in enumerate(self.plan.specs):
-            if spec.kind == "kill_worker" and spec.active_at(now) \
-                    and i not in self._fired_kills:
-                self._fired_kills.add(i)
-                self._pending_kills.append(spec.target)
 
     def _matches(self, spec: FaultSpec, target: str, rung: str | None) -> bool:
         return spec.target == target and (spec.rung is None or rung is None
@@ -206,11 +192,6 @@ class FaultInjector:
             self.trips += 1
             raise InjectedFault(f"injected {target} backend fault on rung "
                                 f"{rung!r} at t={self._now:.0f}")
-
-    def pending_worker_kills(self) -> list[str]:
-        """Drain the shard names whose workers should be killed now."""
-        kills, self._pending_kills = self._pending_kills, []
-        return kills
 
     def snapshot(self) -> dict:
         return {

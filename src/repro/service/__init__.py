@@ -8,9 +8,7 @@ event loop behind an async API (:class:`DispatchService`), with:
 * pluggable :mod:`clock drivers <repro.service.clock_driver>` — watermark
   -gated deterministic replay or wall-clock pacing,
 * :mod:`checkpoint/restore <repro.service.checkpoint>` on top of the
-  scenario JSON format — stop mid-horizon, resume bit-identically,
-* :mod:`multi-city sharding <repro.service.shards>` — one resident worker
-  process per city, merged fleet-wide telemetry, and
+  scenario JSON format — stop mid-horizon, resume bit-identically, and
 * explicit :mod:`backpressure <repro.service.backpressure>` — bounded
   ingest queue with defer/shed admission and visible counters.
 
@@ -52,13 +50,6 @@ from repro.service.loop import (
     replay_orders_wall,
     serve_recorded,
 )
-from repro.service.shards import (
-    ShardPool,
-    ShardReport,
-    ShardTask,
-    fleet_report,
-    setting_config,
-)
 
 __all__ = [
     "ADMISSION_STATES",
@@ -75,12 +66,8 @@ __all__ = [
     "OrderStatus",
     "ServiceClosed",
     "ServiceError",
-    "ShardPool",
-    "ShardReport",
-    "ShardTask",
     "SimulatedClock",
     "WallClock",
-    "fleet_report",
     "load_checkpoint",
     "policy_spec_from_checkpoint",
     "recorded_stream",
@@ -90,6 +77,5 @@ __all__ = [
     "restore_simulator",
     "save_checkpoint",
     "serve_recorded",
-    "setting_config",
     "snapshot_simulator",
 ]

@@ -3,8 +3,8 @@
 These are the shapes :class:`~repro.service.loop.DispatchService` hands to
 clients: the admission receipt of ``submit_order``, the lifecycle view of
 ``order_status``, and the service-level error types.  They are plain frozen
-dataclasses — picklable, comparable, loggable — so loadgen clients and
-shard workers can ship them across process boundaries.
+dataclasses — picklable, comparable, loggable — so loadgen clients can
+ship them across process boundaries.
 """
 
 from __future__ import annotations

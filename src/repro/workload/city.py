@@ -211,8 +211,7 @@ def metro_profile(rows: int = 72, cols: int = 70, *, name: str = "Metro",
 
 
 #: Default metro profile: a ~5k-node city, big enough to exercise the
-#: contraction hub ordering and the shared-memory attach path, small enough
-#: for CI smoke runs.
+#: contraction hub ordering, small enough for CI smoke runs.
 METRO = metro_profile()
 
 CITY_PROFILES: dict[str, CityProfile] = {

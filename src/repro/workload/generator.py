@@ -434,11 +434,11 @@ def generate_scenario(profile: CityProfile, seed: int = 0,
     scenario content is identical across traffic/fleet modes.
 
     ``network`` substitutes a pre-materialised network for the one
-    ``profile.network_factory`` would build — the shared-memory sweep path
-    passes the attached view of the parent's packed network here.  The
-    caller is responsible for it being equivalent to the factory's output
-    (same nodes, edges and weights in the same order); workload generation
-    is then bit-identical to the owned-network scenario.
+    ``profile.network_factory`` would build, for a caller that builds (and
+    times) the network itself.  The caller is responsible for it being
+    equivalent to the factory's output (same nodes, edges and weights in
+    the same order); workload generation is then bit-identical to the
+    owned-network scenario.
     """
     rng = random.Random(seed)
     if network is None:

@@ -34,6 +34,19 @@ def clustered_orders():
     ]
 
 
+def _count_merge_cost_calls(cost_model, monkeypatch) -> list[int]:
+    """Record the pair count of every bulk ``merge_costs`` call."""
+    calls: list[int] = []
+    original = cost_model.merge_costs
+
+    def counted(pairs, now):
+        calls.append(len(pairs))
+        return original(pairs, now)
+
+    monkeypatch.setattr(cost_model, "merge_costs", counted)
+    return calls
+
+
 class TestPartitionProperties:
     def test_every_order_in_exactly_one_batch(self, batch_model):
         orders = clustered_orders()
@@ -93,6 +106,36 @@ class TestStoppingCriterion:
         strict, _ = cluster_orders(orders, batch_model, 0.0, BatchingConfig(eta=10.0))
         loose, _ = cluster_orders(orders, batch_model, 0.0, BatchingConfig(eta=900.0))
         assert len(loose) <= len(strict)
+
+    @pytest.mark.parametrize("eta", [10.0, 50.0, 200.0])
+    def test_merge_crossing_eta_is_the_last_and_plans_nothing(self, batch_model,
+                                                              monkeypatch, eta):
+        # The trace of clustered_orders() at max_orders=3 reads 0, 16.4,
+        # 40.9, 109.1, 245.5: each eta is crossed by a later merge.
+        calls = _count_merge_cost_calls(batch_model, monkeypatch)
+        config = BatchingConfig(eta=eta, max_orders=3)
+        _, stats = cluster_orders(clustered_orders(), batch_model, 0.0, config)
+        trace = stats.avg_cost_trace
+        assert stats.merges > 0 and trace[-1] > eta
+        assert all(cost <= eta for cost in trace[:-1])
+        # One bulk plan for the initial order graph, one per merge that left
+        # AvgCost within eta; none for the merge that crossed it.
+        assert len(calls) == stats.merges
+
+    def test_every_merge_within_eta_plans_its_edges(self, batch_model, monkeypatch):
+        calls = _count_merge_cost_calls(batch_model, monkeypatch)
+        config = BatchingConfig(eta=1e9, max_orders=3)
+        _, stats = cluster_orders(clustered_orders(), batch_model, 0.0, config)
+        assert stats.merges == 4
+        assert len(calls) == stats.merges + 1
+
+    def test_initial_cost_above_eta_merges_nothing(self, batch_model, monkeypatch):
+        calls = _count_merge_cost_calls(batch_model, monkeypatch)
+        orders = [grid_order(1, 0, 1, prep=600.0), grid_order(2, 35, 34, prep=600.0)]
+        batches, stats = cluster_orders(orders, batch_model, 0.0,
+                                        BatchingConfig(eta=60.0))
+        assert stats.merges == 0 and len(batches) == 2
+        assert len(calls) == 1
 
     def test_pair_distance_pruning_limits_merges(self, batch_model):
         # All restaurants at distinct nodes: a 1-second pruning radius leaves

@@ -184,13 +184,50 @@ class TestFoodMatch:
 
     def test_explicit_k_limits_cost_evaluations(self, cost_model, simple_orders,
                                                 simple_vehicles):
-        bounded = FoodMatchPolicy(cost_model, FoodMatchConfig(k=1, k_min=1,
+        bounded = FoodMatchPolicy(cost_model, FoodMatchConfig(k=1,
                                                               use_batching=False))
         unbounded = FoodMatchPolicy(cost_model, FoodMatchConfig(use_bfs=False,
                                                                 use_batching=False))
         bounded.assign(simple_orders, simple_vehicles, 0.0)
         unbounded.assign(simple_orders, simple_vehicles, 0.0)
         assert bounded.total_cost_evaluations < unbounded.total_cost_evaluations
+
+    def test_explicit_k_below_k_min_bounds_the_graph(self, cost_model,
+                                                     simple_orders,
+                                                     simple_vehicles):
+        # k = 1 and k = 2 sit below the default k_min = 3; each must still
+        # do less bounded-search work than the next larger k.
+        evaluations = []
+        for k in (1, 2, 3):
+            policy = FoodMatchPolicy(cost_model, FoodMatchConfig(
+                k=k, use_batching=False, use_angular=False))
+            policy.assign(simple_orders, simple_vehicles, 0.0)
+            evaluations.append(policy.total_cost_evaluations)
+        assert evaluations[0] < evaluations[2]
+        assert evaluations == sorted(evaluations)
+
+    @pytest.mark.parametrize("k,num_batches,expected", [
+        (1, 5, 1),     # below k_min: kept, not raised to 3
+        (2, 5, 2),
+        (3, 5, 3),
+        (8, 4, 4),     # above |B|: clamped to the batch count
+        (2, 1, 1),
+        (1, 0, 1),     # an empty window still gets a positive bound
+    ])
+    def test_explicit_k_degree_bound(self, cost_model, k, num_batches, expected):
+        policy = FoodMatchPolicy(cost_model, FoodMatchConfig(k=k))
+        assert policy._degree_bound(10, 4, num_batches) == expected
+
+    @pytest.mark.parametrize("num_orders,num_vehicles,num_batches,expected", [
+        (1, 1000, 10, 3),      # ceil(200 * 0.001) = 1, raised to k_min
+        (100, 10, 50, 50),     # 2000, clamped to |B|
+        (0, 0, 0, 3),          # nothing to bound: k_min
+    ])
+    def test_derived_degree_bound_keeps_k_min_clamp(self, cost_model, num_orders,
+                                                    num_vehicles, num_batches,
+                                                    expected):
+        policy = FoodMatchPolicy(cost_model)
+        assert policy._degree_bound(num_orders, num_vehicles, num_batches) == expected
 
     def test_policy_name_reflects_configuration(self, cost_model):
         assert FoodMatchPolicy(cost_model).name == "foodmatch"

@@ -1,13 +1,11 @@
 """Tests for the process-parallel experiment executor.
 
 The load-bearing guarantees: parallel sweeps are bit-identical to serial
-ones (golden fingerprint comparison) — including shared-memory network
-sweeps, which must also leave no segment behind — one failing cell never
-loses the sweep, custom profiles resolve inside workers, and the
+ones (golden fingerprint comparison) — also on a network large enough for
+hub labels — one failing cell never loses the sweep, custom profiles resolve inside workers, and the
 session-default jobs plumbing validates its inputs.
 """
 
-import os
 import signal
 
 import pytest
@@ -75,26 +73,20 @@ class TestGoldenParallelIdentity:
             assert (result_fingerprint(serial[name])
                     == result_fingerprint(parallel[name]))
 
-    def test_share_networks_bit_identical_and_leak_free(self):
-        # A metro profile above the oracle's hub-label threshold, so the
-        # packed segment carries CSR arrays *and* hub labels.
-        profile = metro_profile(16, 15, name="ExecutorSharedMetro", seed=11)
+    def test_hub_label_metro_jobs4_bit_identical_to_jobs1(self):
+        # A metro profile above the oracle's hub-label threshold, so every
+        # worker builds and queries its own hub labels.
+        profile = metro_profile(16, 15, name="ExecutorMetro", seed=11)
         setting = ExperimentSetting(profile=profile, scale=0.25,
                                     start_hour=12, end_hour=13, seed=2)
         cells = [ExperimentCell(setting.with_seed(seed), PolicySpec.of(policy))
                  for policy in ("km", "greedy") for seed in (2, 3)]
-        shm_dir = "/dev/shm"
-        before = (set(os.listdir(shm_dir)) if os.path.isdir(shm_dir)
-                  else set())
         clear_cache()
         serial = run_cells(cells, jobs=1)
         clear_cache()
-        shared = run_cells(cells, jobs=4, share_networks=True)
+        parallel = run_cells(cells, jobs=4)
         assert ([result_fingerprint(outcome.require()) for outcome in serial]
-                == [result_fingerprint(outcome.require()) for outcome in shared])
-        if os.path.isdir(shm_dir):
-            # Every packed segment was disposed with the pool.
-            assert set(os.listdir(shm_dir)) - before == set()
+                == [result_fingerprint(outcome.require()) for outcome in parallel])
 
     def test_custom_profile_resolves_in_workers(self):
         setting = ExperimentSetting(profile=CUSTOM_PROFILE, scale=1.0,
@@ -138,7 +130,7 @@ class TestPlumbing:
         # (around sending a result): the driver then joins forever.
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
         try:
-            executor._worker_init({})
+            executor._worker_init()
             assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         finally:
             signal.signal(signal.SIGTERM, previous)

@@ -1,5 +1,7 @@
 """Tests for the experiment runner, policy registry and caching."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.foodmatch import FoodMatchPolicy
@@ -16,7 +18,10 @@ from repro.experiments.runner import (
     materialize,
     run_policy_comparison,
     run_setting,
+    setting_config,
 )
+from repro.experiments import runner
+from repro.network.graph import SECONDS_PER_HOUR
 from repro.workload.city import CITY_A
 
 
@@ -93,6 +98,66 @@ class TestSettings:
                                                    start_hour=12, end_hour=13, seed=1,
                                                    vehicle_fraction=0.5))
         assert len(reduced.vehicles) < len(full.vehicles)
+
+
+    @pytest.mark.parametrize("knobs", [
+        {"repair_fraction": 0.5},
+        {"event_resolution": "continuous"},
+        {"latency_budget": 1.0},
+    ])
+    def test_run_time_knobs_share_the_materialized_world(self, small_setting,
+                                                         knobs):
+        clear_cache()
+        base = materialize(small_setting)
+        other = materialize(replace(small_setting, **knobs))
+        assert other[0] is base[0] and other[1] is base[1]
+
+    def test_each_materialized_network_is_private(self, small_setting):
+        # Traffic overrides are written on the scenario's own network: one
+        # cached setting's overrides must not show in another's.
+        clear_cache()
+        first, _ = materialize(small_setting)
+        second, _ = materialize(small_setting.with_seed(7))
+        assert first.network is not second.network
+        u, v, _ = next(iter(first.network.edges()))
+        first.network.set_edge_override(u, v, 3.0)
+        try:
+            assert second.network.edge_overrides() == {}
+        finally:
+            first.network.set_edge_override(u, v, 1.0)
+
+
+class TestSettingConfig:
+    @pytest.mark.parametrize("start_hour,end_hour,delta,event_resolution", [
+        (12, 13, None, "window"),
+        (11, 14, 240.0, "window"),
+        (0, 24, 60.0, "continuous"),
+        (18, 20, None, "continuous"),
+    ])
+    def test_derives_window_hours_and_resolution(self, start_hour, end_hour, delta,
+                                                 event_resolution):
+        setting = ExperimentSetting(profile=CITY_A, start_hour=start_hour,
+                                    end_hour=end_hour, delta=delta,
+                                    event_resolution=event_resolution)
+        config = setting_config(setting)
+        assert config.delta == setting.resolved_delta()
+        assert config.start == start_hour * SECONDS_PER_HOUR
+        assert config.end == end_hour * SECONDS_PER_HOUR
+        assert config.event_resolution == event_resolution
+
+    def test_run_setting_simulates_with_the_derived_config(self, small_setting,
+                                                           monkeypatch):
+        seen = []
+        original = runner.simulate
+
+        def recording(scenario, policy, cost_model, config, **kwargs):
+            seen.append(config)
+            return original(scenario, policy, cost_model, config, **kwargs)
+
+        monkeypatch.setattr(runner, "simulate", recording)
+        setting = replace(small_setting, delta=240.0)
+        run_setting(setting, PolicySpec.of("greedy"))
+        assert seen == [setting_config(setting)]
 
 
 class TestRunning:

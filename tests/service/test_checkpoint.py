@@ -24,6 +24,7 @@ from repro.experiments.runner import (
     PolicySpec,
     materialize,
     run_setting,
+    setting_config,
 )
 from repro.service import (
     CHECKPOINT_FORMAT,
@@ -35,7 +36,6 @@ from repro.service import (
     restore_simulator,
     save_checkpoint,
     serve_recorded,
-    setting_config,
     snapshot_simulator,
 )
 from repro.workload.city import CITY_PROFILES

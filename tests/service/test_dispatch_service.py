@@ -17,6 +17,7 @@ from repro.experiments.runner import (
     PolicySpec,
     materialize,
     run_setting,
+    setting_config,
 )
 from repro.orders.order import Order
 from repro.service import (
@@ -29,7 +30,6 @@ from repro.service import (
     recorded_stream,
     replay_orders,
     serve_recorded,
-    setting_config,
 )
 from repro.workload.city import CITY_PROFILES
 

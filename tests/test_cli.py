@@ -186,3 +186,16 @@ class TestFigureCommand:
         assert code == 0
         assert "Table II" in captured.out
         assert "CityB" in captured.out
+
+
+class TestFaultPlanErrors:
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["compare", "--policies", "km"], ["serve"], ["loadgen"],
+    ])
+    def test_unknown_fault_kind_is_a_usage_error(self, capsys, command):
+        plan = json.dumps([{"kind": "kill_worker", "target": "cityA"}])
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--city", "CityA", "--scale", "0.1", "--faults", plan])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command[0]}: unknown fault kind 'kill_worker'")
